@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end exercise of `qperc campaign`: interrupt-then-resume must land on
-# byte-identical results, `--jobs` must not affect the store, and the CLI must
-# reject malformed invocations.
+# byte-identical results, neither `--jobs` nor `--no-counters` may affect the
+# store, and the CLI must reject malformed invocations.
 #
 #   usage: campaign_e2e.sh /path/to/qperc
 set -euo pipefail
@@ -43,6 +43,15 @@ echo "== sharded runs merge to the same grid"
 "$QPERC" campaign run "${GRID[@]}" --shard 1/2 --jobs 1 --out "$WORKDIR/shards" --quiet
 "$QPERC" campaign export "${GRID[@]}" --out "$WORKDIR/shards" > "$WORKDIR/shards.csv"
 cmp "$WORKDIR/ref.csv" "$WORKDIR/shards.csv"
+
+echo "== trace counters are observation-only: counters-on store == --no-counters store"
+# Lossy networks and both transports: same-timestamp ties on DSL, DA2GC and
+# MSS are where a sink that perturbed the link schedule used to show.
+TRACED_GRID=(--sites 3 --runs 2 --seed 5 --protocols TCP,QUIC --networks DSL,DA2GC,MSS)
+TRACED_STORE=campaign_seed5_runs2.qcr
+"$QPERC" campaign run "${TRACED_GRID[@]}" --jobs 2 --out "$WORKDIR/counters" --quiet
+"$QPERC" campaign run "${TRACED_GRID[@]}" --jobs 2 --no-counters --out "$WORKDIR/plain" --quiet
+cmp "$WORKDIR/counters/$TRACED_STORE" "$WORKDIR/plain/$TRACED_STORE"
 
 echo "== malformed invocations are rejected"
 if "$QPERC" campaign run --definitely-not-a-flag 2>/dev/null; then

@@ -186,7 +186,7 @@ void PageLoader::on_object_complete(std::uint32_t id) {
 PageLoadResult PageLoader::result() const {
   PageLoadResult result;
   result.connections_opened = static_cast<std::uint32_t>(sessions_.size());
-  result.object_complete_at.assign(site_.objects.size(), kNoTime);
+  result.object_complete_at = std::vector<SimTime>(site_.objects.size(), kNoTime);
   result.object_body_delivered.assign(site_.objects.size(), 0);
   for (const auto& object : site_.objects) {
     result.object_body_delivered[object.id] = states_[object.id].body_delivered;

@@ -17,44 +17,38 @@ constexpr std::uint32_t kCrossOriginBase = 0x40000000;
 /// backlogged elephant (1 TiB outlasts any trial by orders of magnitude).
 constexpr std::uint64_t kContinuousBytes = std::uint64_t{1} << 40;
 
+[[nodiscard]] ProtocolConfig cross_config(const char* name, Transport transport,
+                                          cc::CcKind congestion_control, bool pacing) {
+  ProtocolConfig p;
+  p.name = name;
+  p.transport = transport;
+  p.congestion_control = congestion_control;
+  p.pacing = pacing;
+  return p;
+}
+
+// Built during static initialization rather than as function-local statics:
+// cross_protocol() runs on the trial hot path (CrossTrafficSource's
+// constructor), where a first-use guard would plant the names' string
+// construction.
+const ProtocolConfig kCrossCubic =
+    cross_config("cross-cubic", Transport::kTcp, cc::CcKind::kCubic, false);
+const ProtocolConfig kCrossReno =
+    cross_config("cross-reno", Transport::kTcp, cc::CcKind::kReno, false);
+const ProtocolConfig kCrossBbr =
+    cross_config("cross-bbr", Transport::kTcp, cc::CcKind::kBbr, true);
+const ProtocolConfig kCrossQuic =
+    cross_config("cross-quic", Transport::kQuic, cc::CcKind::kCubic, false);
+
 [[nodiscard]] const ProtocolConfig& cross_protocol(net::CrossMix mix, std::uint32_t index) {
-  static const ProtocolConfig cubic = [] {
-    ProtocolConfig p;
-    p.name = "cross-cubic";
-    p.transport = Transport::kTcp;
-    p.congestion_control = cc::CcKind::kCubic;
-    return p;
-  }();
-  static const ProtocolConfig reno = [] {
-    ProtocolConfig p;
-    p.name = "cross-reno";
-    p.transport = Transport::kTcp;
-    p.congestion_control = cc::CcKind::kReno;
-    return p;
-  }();
-  static const ProtocolConfig bbr = [] {
-    ProtocolConfig p;
-    p.name = "cross-bbr";
-    p.transport = Transport::kTcp;
-    p.congestion_control = cc::CcKind::kBbr;
-    p.pacing = true;
-    return p;
-  }();
-  static const ProtocolConfig quic = [] {
-    ProtocolConfig p;
-    p.name = "cross-quic";
-    p.transport = Transport::kQuic;
-    p.congestion_control = cc::CcKind::kCubic;
-    return p;
-  }();
   switch (mix) {
-    case net::CrossMix::kCubic: return cubic;
-    case net::CrossMix::kReno: return reno;
-    case net::CrossMix::kBbr: return bbr;
-    case net::CrossMix::kQuic: return quic;
-    case net::CrossMix::kMixed: return index % 2 == 0 ? cubic : quic;
+    case net::CrossMix::kCubic: return kCrossCubic;
+    case net::CrossMix::kReno: return kCrossReno;
+    case net::CrossMix::kBbr: return kCrossBbr;
+    case net::CrossMix::kQuic: return kCrossQuic;
+    case net::CrossMix::kMixed: return index % 2 == 0 ? kCrossCubic : kCrossQuic;
   }
-  return cubic;  // unreachable with valid input
+  return kCrossCubic;  // unreachable with valid input
 }
 
 [[nodiscard]] std::string_view cross_label(net::CrossMix mix, std::uint32_t index) {

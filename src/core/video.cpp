@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/trial_context.hpp"
 #include "runner/executor.hpp"
 #include "util/rng.hpp"
 
@@ -31,13 +32,19 @@ Video produce_video(const web::Website& site, const ProtocolConfig& protocol,
   video.network = profile.kind;
   video.runs = runs;
 
+  // One context for all of this condition's trials: every trial after the
+  // first reuses its event slab, queue and arena blocks instead of a cold
+  // Simulator, and TrialContext::run is bit-exact with a fresh one. The
+  // context ends with the call, so no worker keeps a trial arena between
+  // conditions (a per-thread context grew a grid's peak RSS by over a third).
+  TrialContext context;
   const Rng seeder(base_seed);
   std::vector<browser::PageLoadResult> results;
   results.reserve(runs);
   for (std::uint32_t run = 0; run < runs; ++run) {
     Rng run_rng = seeder.fork(run + 1);
     results.push_back(
-        run_trial(TrialSpec(site, protocol, profile, run_rng.next_u64()).with_trace(trace)));
+        context.run(TrialSpec(site, protocol, profile, run_rng.next_u64()).with_trace(trace)));
   }
 
   // Per-condition means of every metric.

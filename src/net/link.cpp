@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "util/check.hpp"
+
 namespace qperc::net {
 
 Link::Link(sim::Simulator& simulator, DataRate rate, SimDuration propagation_delay,
@@ -18,14 +20,16 @@ Link::Link(sim::Simulator& simulator, DataRate rate, SimDuration propagation_del
 
 void Link::send(Packet packet) {
   ++stats_.packets_offered;
-  // The untraced path folds the per-packet serialization-complete event into
-  // arithmetic on busy_until_ — the dominant cost of a page-load trial is
-  // event dispatch, and this halves the event count. With an observer or a
-  // trace sink attached the event-driven path runs instead, so per-packet
-  // notifications keep their original timestamps. Both paths draw from the
-  // loss RNG in serialization (FIFO = send) order and share the busy clock,
-  // so they produce identical streams and identical delivery times.
-  if (observer_ || simulator_.trace() != nullptr || serializing_) {
+  // The arithmetic path folds the per-packet serialization-complete event
+  // into arithmetic on busy_until_ — the dominant cost of a page-load trial
+  // is event dispatch, and this halves the event count. It also carries
+  // tracing: a trace sink gets its fate events stamped at the serialization
+  // end through notify-only events (report_fate), so attaching one cannot
+  // change the schedule. Only an Observer selects the event-driven path.
+  // Both paths draw from the loss RNG in serialization (FIFO = send) order
+  // and share the busy clock, so they produce identical streams and
+  // identical delivery times.
+  if (observer_ || serializing_) {
     send_traced(std::move(packet));
   } else {
     send_fast(std::move(packet));
@@ -132,20 +136,20 @@ void Link::decide_fate(const Packet& packet, SimTime done) {
   // their exact RNG stream and golden traces.
   if (loss_rng_.bernoulli(loss_rate_)) {
     ++stats_.drops_random_loss;
-    notify(LinkEvent::kDroppedRandomLoss, packet);
+    report_fate(LinkEvent::kDroppedRandomLoss, packet, done);
   } else if (impairments_.in_outage(done)) {
     ++stats_.drops_outage;
-    notify(LinkEvent::kDroppedOutage, packet);
+    report_fate(LinkEvent::kDroppedOutage, packet, done);
   } else if (bursty_loss()) {
     ++stats_.drops_burst_loss;
-    notify(LinkEvent::kDroppedBurstLoss, packet);
+    report_fate(LinkEvent::kDroppedBurstLoss, packet, done);
   } else if (policed(packet, done)) {
     // Policing comes after the stochastic stages so a policed profile keeps
     // the same loss-RNG stream; the drop itself is deterministic. Dropping
     // post-serialization (no queueing signature) is exactly the carrier
     // token-bucket pathology BBR's lt_bw estimator detects.
     ++stats_.drops_policer;
-    notify(LinkEvent::kDroppedPolicer, packet);
+    report_fate(LinkEvent::kDroppedPolicer, packet, done);
   } else {
     SimDuration delay = propagation_delay_;
     if (impairments_.reordering_enabled() &&
@@ -153,21 +157,42 @@ void Link::decide_fate(const Packet& packet, SimTime done) {
       const SimDuration extra = jitter_draw();
       delay += extra;
       ++stats_.reordered;
-      notify(LinkEvent::kReordered, packet, static_cast<std::uint64_t>(extra.count()));
+      report_fate(LinkEvent::kReordered, packet, done,
+                  static_cast<std::uint64_t>(extra.count()));
+    }
+    // The duplication draws come before either delivery is scheduled, so a
+    // packet's fate events stay adjacent in the trace; scheduling draws no
+    // randomness, so the RNG stream is unchanged by the ordering.
+    const bool duplicated = impairments_.duplication_enabled() &&
+                            loss_rng_.bernoulli(impairments_.duplicate_rate);
+    // The copy trails the original; with no jitter window configured it
+    // lands at the same instant but after the original in FIFO order.
+    const SimDuration lag = duplicated && impairments_.reorder_delay_max > SimDuration::zero()
+                                ? jitter_draw()
+                                : SimDuration::zero();
+    if (duplicated) {
+      ++stats_.duplicates;
+      report_fate(LinkEvent::kDuplicated, packet, done);
     }
     schedule_delivery_at(packet, done + delay);
-    if (impairments_.duplication_enabled() &&
-        loss_rng_.bernoulli(impairments_.duplicate_rate)) {
-      ++stats_.duplicates;
-      notify(LinkEvent::kDuplicated, packet);
-      // The copy trails the original; with no jitter window configured it
-      // lands at the same instant but after the original in FIFO order.
-      const SimDuration lag = impairments_.reorder_delay_max > SimDuration::zero()
-                                  ? jitter_draw()
-                                  : SimDuration::zero();
-      schedule_delivery_at(packet, done + delay + lag);
-    }
+    if (duplicated) schedule_delivery_at(packet, done + delay + lag);
   }
+}
+
+void Link::report_fate(LinkEvent event, const Packet& packet, SimTime done, std::uint64_t id) {
+  if (done <= simulator_.now()) {
+    notify(event, packet, id);  // the event-driven path decides at `done`
+    return;
+  }
+  // The arithmetic path decided ahead of time; it never runs with an
+  // observer attached, so only a trace sink can be listening.
+  QPERC_DCHECK(!observer_) << "arithmetic link path with an observer attached";
+  if (simulator_.trace() == nullptr) return;
+  simulator_.schedule_at(done, [this, event, flow = packet.flow,
+                                bytes = packet.wire_bytes, id] {
+    simulator_.trace_event(to_trace_event(event), trace::Endpoint::kNone,
+                           static_cast<std::uint64_t>(flow), id, bytes, trace_direction_);
+  });
 }
 
 void Link::schedule_delivery_at(const Packet& packet, SimTime when) {

@@ -19,6 +19,13 @@
 // which is what keeps the two paths equivalent under schedules (the PR 3
 // fast/observed contract). A disabled schedule takes the original
 // single-multiply path and is bit-exact with the pre-schedule link.
+//
+// Only an Observer selects the event-driven path. A trace sink rides the
+// arithmetic path: enqueue and queue-full drops are notified at send time,
+// deliveries from the delivery event, and every other fate (loss, outage,
+// burst loss, policing, reordering, duplication) from a notify-only event
+// at the serialization end that touches no link state. Attaching a sink
+// therefore cannot change any result.
 #pragma once
 
 #include <cstdint>
@@ -173,6 +180,13 @@ class Link {
   /// order is the serialization (FIFO) order on both paths, so the two paths
   /// consume an identical stream.
   void decide_fate(const Packet& packet, SimTime done);
+  /// Notifies a fate (drop, reorder, duplicate) decided for serialization
+  /// end `done`: directly when `done` is now (the event-driven path), else,
+  /// with a trace sink attached, from a notify-only event at `done` that
+  /// touches no link state — tracing rides the arithmetic path without
+  /// perturbing it.
+  void report_fate(LinkEvent event, const Packet& packet, SimTime done,
+                   std::uint64_t id = 0);
   void start_serialization();
   void schedule_delivery_at(const Packet& packet, SimTime when);
   /// Advances the Gilbert–Elliott chain one step and draws the state's loss
@@ -210,7 +224,7 @@ class Link {
 
   /// Droptail queue over a reused slab: once the ring has grown to the
   /// episode's high-water mark, enqueue/dequeue recycle the same packet
-  /// descriptors instead of churning deque blocks. Only the traced (slow)
+  /// descriptors instead of churning deque blocks. Only the observed (slow)
   /// path stores packets here; the fast path is purely arithmetic.
   RingBuffer<Packet> queue_;
   std::uint64_t queued_bytes_ = 0;

@@ -145,9 +145,18 @@ std::string LinkConditions::token() const {
          std::to_string(policer_burst_bytes);
 }
 
+namespace {
+
+/// Runs once per process, behind all_profiles' first-use guard. Out of line
+/// and cold, so hot-path callers of profile_for() carry only the guard.
+QPERC_COLD_PATH std::vector<NetworkProfile> build_all_profiles() {
+  return {dsl_profile(), lte_profile(), da2gc_profile(), mss_profile()};
+}
+
+}  // namespace
+
 const std::vector<NetworkProfile>& all_profiles() {
-  static const std::vector<NetworkProfile> profiles = {dsl_profile(), lte_profile(),
-                                                       da2gc_profile(), mss_profile()};
+  static const std::vector<NetworkProfile> profiles = build_all_profiles();
   return profiles;
 }
 

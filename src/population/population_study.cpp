@@ -57,8 +57,8 @@ struct Pools {
 };
 
 /// Per-worker-slot reusable state: the partial Fisher–Yates order buffer.
-/// Allocated once per slot; resize() never shrinks capacity, so the trial
-/// loop is allocation-free after the first round.
+/// Sized once per slot to the widest pool before the run, so the
+/// participant loop never grows it.
 struct Scratch {
   std::vector<std::uint32_t> order;
 };
@@ -139,12 +139,13 @@ template <typename Entry, typename Visit>
 void sample_without_replacement(const std::vector<Entry>& pool, std::size_t shown,
                                 Scratch& scratch, Rng& rng, const Visit& visit) {
   auto& order = scratch.order;
-  order.resize(pool.size());
-  std::iota(order.begin(), order.end(), std::uint32_t{0});
-  shown = std::min(shown, pool.size());
+  const std::size_t n = pool.size();
+  QPERC_DCHECK_LE(n, order.size()) << "scratch sized below the widest pool";
+  std::iota(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(n), std::uint32_t{0});
+  shown = std::min(shown, n);
   for (std::size_t k = 0; k < shown; ++k) {
     const auto j = static_cast<std::size_t>(rng.uniform_int(
-        static_cast<std::int64_t>(k), static_cast<std::int64_t>(order.size() - 1)));
+        static_cast<std::int64_t>(k), static_cast<std::int64_t>(n - 1)));
     std::swap(order[k], order[j]);
     visit(pool[order[k]]);
   }
@@ -394,7 +395,10 @@ Report run_streaming_study(core::VideoLibrary& library, const StudySpec& spec,
   for (std::size_t slot = 0; slot < round_size; ++slot) {
     round_accs.push_back(make_accumulator(spec.kind));
   }
-  std::vector<Scratch> scratches(round_size);
+  const std::size_t widest_pool =
+      std::max({pools.fast.size(), pools.plane.size(), pools.ab.size()});
+  std::vector<Scratch> scratches(round_size,
+                                 Scratch{std::vector<std::uint32_t>(widest_pool)});
 
   const auto started = std::chrono::steady_clock::now();
   const auto snapshot = [&] {

@@ -1,6 +1,7 @@
 #include "quic/send_side.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "util/check.hpp"
 
@@ -11,6 +12,52 @@ namespace {
 /// that gQUIC also used).
 constexpr std::uint64_t kPacketReorderThreshold = 3;
 constexpr SimDuration kMaxAckDelay = milliseconds(25);
+
+/// First range at or after `range` that does not lie wholly above `pn`
+/// (ranges descend, so those form a prefix). Gallops, then bisects: O(1)
+/// when the answer is near, O(log ranges) when it is far.
+const AckRange* first_range_not_above(const AckRange* range, const AckRange* end,
+                                      std::uint64_t pn) {
+  if (range == end || range->first <= pn) return range;
+  // Invariant: range->first > pn.
+  std::ptrdiff_t step = 1;
+  while (step < end - range && range[step].first > pn) {
+    range += step;
+    step *= 2;
+  }
+  return std::partition_point(range + 1, range + std::min(step, end - range),
+                              [pn](const AckRange& r) { return r.first > pn; });
+}
+
+/// Matches a sorted set of declared-lost packet numbers against an ACK's
+/// ranges, which descend and do not overlap. Every member a range covers is
+/// handed to `matched` and erased, ranges newest-first and members ascending
+/// within a range: the order of a scan that looks up each range in turn.
+/// This walk goes the other way, down the set from its largest member, and
+/// searches forward through the ranges for each member, so it costs one step
+/// per member inside the ranges' span (plus a logarithmic skip over ranges
+/// between members) and stops at the first member below the oldest range,
+/// however much history the ranges repeat.
+template <class Set, class Fn>
+void match_lost(Set& set, const AckRange* range, const AckRange* end, Fn&& matched) {
+  auto hi = set.end();
+  while (hi != set.begin()) {
+    const std::uint64_t top = *std::prev(hi);
+    range = first_range_not_above(range, end, top);
+    if (range == end) return;  // `top` and everything below it predate the ranges
+    if (top > range->second) {  // `top` sits in the gap above this range
+      --hi;
+      continue;
+    }
+    auto lo = std::prev(hi);
+    while (lo != set.begin() && *std::prev(lo) >= range->first) --lo;
+    while (lo != hi) {
+      matched(*lo);
+      lo = set.erase(lo);
+    }
+    ++range;
+  }
+}
 
 }  // namespace
 
@@ -267,36 +314,43 @@ void QuicSendSide::on_ack_frame(const QuicPacket& packet) {
   cc::RateSample best_rate{};
   bool have_rate = false;
 
-  std::uint64_t prev_range_first = 0;
-  bool first_range = true;
-  bool spurious_pto = false;
-  for (const auto& [first, last] : packet.ack_ranges) {
-    // Ranges arrive newest-first: each [first, last] must be well-formed and
-    // sit strictly below the previous range (sorted, non-overlapping).
+#if QPERC_INVARIANTS_ENABLED
+  // Ranges arrive newest-first: each [first, last] must be well-formed and
+  // sit strictly below the previous range (sorted, non-overlapping). The
+  // walks below rely on it.
+  for (std::size_t i = 0; i < packet.ack_ranges.size(); ++i) {
+    const auto& [first, last] = packet.ack_ranges[i];
     QPERC_DCHECK_LE(first, last) << "inverted ACK range";
-    QPERC_DCHECK(first_range || last < prev_range_first)
+    QPERC_DCHECK(i == 0 || last < packet.ack_ranges[i - 1].first)
         << "ACK ranges out of order or overlapping";
-    prev_range_first = first;
-    first_range = false;
-    if (!pto_lost_pns_.empty()) {
-      // An acked packet the PTO path declared lost: the probe timeout was
-      // spurious (monotone packet numbers make this unambiguous — the range
-      // can only name the original transmission).
-      auto pto_it = pto_lost_pns_.lower_bound(first);
-      while (pto_it != pto_lost_pns_.end() && *pto_it <= last) {
-        spurious_pto = true;
-        pto_it = pto_lost_pns_.erase(pto_it);
-      }
-    }
-    if (simulator_.trace() != nullptr && !traced_lost_pns_.empty()) {
-      // A packet we declared lost turns out to have been received.
-      auto lost_it = traced_lost_pns_.lower_bound(first);
-      while (lost_it != traced_lost_pns_.end() && *lost_it <= last) {
-        simulator_.trace_event(trace::EventType::kSpuriousLoss, trace_endpoint_, trace_flow_,
-                               *lost_it);
-        lost_it = traced_lost_pns_.erase(lost_it);
-      }
-    }
+  }
+#endif
+
+  // The peer never prunes its record and packet numbers are never reused, so
+  // every ACK re-sends up to max_ack_ranges ranges reaching back toward the
+  // start of the connection. Only three structures can match a range, and
+  // each is walked only as far down as it has members: unacked_ until a
+  // range ends below its first live key, the two lost sets per match_lost.
+  // The three are disjoint and the walks emit nothing but kSpuriousLoss
+  // events, so each yields exactly what one pass over the ranges would:
+  // ranges newest-first, packet numbers ascending within a range.
+  const AckRange* ranges = packet.ack_ranges.data();
+  const AckRange* ranges_end = ranges + packet.ack_ranges.size();
+  bool spurious_pto = false;
+  if (!pto_lost_pns_.empty()) {
+    // An acked packet the PTO path declared lost: the probe timeout was
+    // spurious (monotone packet numbers make this unambiguous — the range
+    // can only name the original transmission).
+    match_lost(pto_lost_pns_, ranges, ranges_end, [&](std::uint64_t) { spurious_pto = true; });
+  }
+  if (simulator_.trace() != nullptr && !traced_lost_pns_.empty()) {
+    // A packet we declared lost turns out to have been received.
+    match_lost(traced_lost_pns_, ranges, ranges_end, [&](std::uint64_t pn) {
+      simulator_.trace_event(trace::EventType::kSpuriousLoss, trace_endpoint_, trace_flow_, pn);
+    });
+  }
+  for (const auto& [first, last] : packet.ack_ranges) {
+    if (unacked_.empty() || last < unacked_.begin()->first) break;
     auto it = unacked_.lower_bound(first);
     while (it != unacked_.end() && it->first <= last) {
       const std::uint64_t pn = it->first;

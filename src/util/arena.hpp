@@ -119,7 +119,10 @@ class Arena {
     std::size_t next = blocks_.empty() ? kInitialBlockBytes
                                        : std::min(blocks_.back().size * 2, kMaxBlockBytes);
     if (next < min_bytes) next = min_bytes;
-    blocks_.push_back(Block{std::make_unique<std::byte[]>(next), next});
+    // Uninitialized, like every allocation the arena hands out: zeroing a
+    // multi-megabyte block would touch every page of it up front, and a
+    // reset arena already recycles dirty blocks.
+    blocks_.push_back(Block{std::make_unique_for_overwrite<std::byte[]>(next), next});
     block_ = blocks_.size() - 1;
     offset_ = 0;
   }

@@ -130,34 +130,56 @@ TEST(TracedTrial, CountersEqualTransportStats) {
 }
 
 TEST(TracedTrial, NullSinkIsBitExact) {
-  const auto& site = site_by_name("apache.org");
-  const auto& protocol = core::protocol_by_name("QUIC");
-  const auto& profile = net::da2gc_profile();
+  // Every Table-1 stack (plus the HTTP/1.1 baseline) on every Table-2 network:
+  // a sink rides the link's arithmetic path, so attaching one changes nothing
+  // — including on the lossy DA2GC/MSS cells where same-timestamp ties are
+  // common.
+  std::vector<const core::ProtocolConfig*> protocols;
+  for (const auto& protocol : core::paper_protocols()) protocols.push_back(&protocol);
+  protocols.push_back(&core::http1_baseline_protocol());
+  for (const char* site_name : {"apache.org", "apple.com"}) {
+    const auto& site = site_by_name(site_name);
+    for (const auto* protocol : protocols) {
+      for (const auto& profile : net::all_profiles()) {
+        const std::string label = std::string(site_name) + " / " + protocol->name + " / " +
+                                  std::string(net::to_string(profile.kind));
+        const auto untraced =
+            core::run_trial(core::TrialSpec(site, *protocol, profile, /*seed=*/5));
+        trace::MemorySink sink;
+        const auto traced = core::run_trial(
+            core::TrialSpec(site, *protocol, profile, /*seed=*/5).with_trace(&sink));
+        const auto untraced_again = core::run_trial(
+            core::TrialSpec(site, *protocol, profile, /*seed=*/5).with_trace(nullptr));
 
-  const auto untraced = core::run_trial(core::TrialSpec(site, protocol, profile, /*seed=*/5));
-  trace::MemorySink sink;
-  const auto traced = core::run_trial(core::TrialSpec(site, protocol, profile, /*seed=*/5).with_trace(&sink));
-  const auto untraced_again = core::run_trial(core::TrialSpec(site, protocol, profile, /*seed=*/5).with_trace(nullptr));
-
-  EXPECT_FALSE(sink.events().empty());
-  for (const auto* other : {&traced, &untraced_again}) {
-    EXPECT_EQ(untraced.metrics.first_visual_change, other->metrics.first_visual_change);
-    EXPECT_EQ(untraced.metrics.last_visual_change, other->metrics.last_visual_change);
-    EXPECT_EQ(untraced.metrics.page_load_time, other->metrics.page_load_time);
-    EXPECT_EQ(untraced.metrics.visual_complete_85, other->metrics.visual_complete_85);
-    EXPECT_EQ(untraced.metrics.speed_index, other->metrics.speed_index);
-    EXPECT_EQ(untraced.metrics.finished, other->metrics.finished);
-    EXPECT_EQ(untraced.connections_opened, other->connections_opened);
-    EXPECT_EQ(untraced.object_complete_at, other->object_complete_at);
-    ASSERT_EQ(untraced.vc_curve.size(), other->vc_curve.size());
-    for (std::size_t i = 0; i < untraced.vc_curve.size(); ++i) {
-      EXPECT_EQ(untraced.vc_curve[i].time, other->vc_curve[i].time);
-      EXPECT_EQ(untraced.vc_curve[i].completeness, other->vc_curve[i].completeness);
+        EXPECT_FALSE(sink.events().empty()) << label;
+        for (const auto* other : {&traced, &untraced_again}) {
+          EXPECT_EQ(untraced.metrics.first_visual_change, other->metrics.first_visual_change)
+              << label;
+          EXPECT_EQ(untraced.metrics.last_visual_change, other->metrics.last_visual_change)
+              << label;
+          EXPECT_EQ(untraced.metrics.page_load_time, other->metrics.page_load_time) << label;
+          EXPECT_EQ(untraced.metrics.visual_complete_85, other->metrics.visual_complete_85)
+              << label;
+          EXPECT_EQ(untraced.metrics.speed_index, other->metrics.speed_index) << label;
+          EXPECT_EQ(untraced.metrics.finished, other->metrics.finished) << label;
+          EXPECT_EQ(untraced.connections_opened, other->connections_opened) << label;
+          EXPECT_EQ(untraced.object_complete_at, other->object_complete_at) << label;
+          ASSERT_EQ(untraced.vc_curve.size(), other->vc_curve.size()) << label;
+          for (std::size_t i = 0; i < untraced.vc_curve.size(); ++i) {
+            EXPECT_EQ(untraced.vc_curve[i].time, other->vc_curve[i].time) << label;
+            EXPECT_EQ(untraced.vc_curve[i].completeness, other->vc_curve[i].completeness)
+                << label;
+          }
+          EXPECT_EQ(untraced.transport.data_packets_sent, other->transport.data_packets_sent)
+              << label;
+          EXPECT_EQ(untraced.transport.retransmissions, other->transport.retransmissions)
+              << label;
+          EXPECT_EQ(untraced.transport.bytes_delivered, other->transport.bytes_delivered)
+              << label;
+          EXPECT_EQ(untraced.transport.acks_sent, other->transport.acks_sent) << label;
+        }
+      }
     }
-    EXPECT_EQ(untraced.transport.data_packets_sent, other->transport.data_packets_sent);
-    EXPECT_EQ(untraced.transport.retransmissions, other->transport.retransmissions);
-    EXPECT_EQ(untraced.transport.bytes_delivered, other->transport.bytes_delivered);
-    EXPECT_EQ(untraced.transport.acks_sent, other->transport.acks_sent);
   }
 }
 
