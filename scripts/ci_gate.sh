@@ -23,7 +23,12 @@
 #                         contention grid must export byte-identical results
 #                         across job counts, interrupt/resume, and shard
 #                         merges
-#   9. alloc ratchet      scripts/bench_baseline.sh --ratchet on the same
+#   9. perfbench smoke    python3 perfbench/smoke_test.py, its build under
+#                         the shared release build directory: every workload
+#                         prints its declared metrics, and its results digest
+#                         agrees across job counts, repeated runs and
+#                         traced vs untraced runs
+#  10. alloc ratchet      scripts/bench_baseline.sh --ratchet on the same
 #                         build: allocations/trial and the other machine-
 #                         independent invariants must not regress past
 #                         BENCH_micro.json (timings are ignored)
@@ -34,7 +39,7 @@
 # opt-in `ci_gate` ctest via -DQPERC_ENABLE_CI_GATE=ON (see EXPERIMENTS.md);
 # opt-in because the matrix rebuilds the tree several times over.
 #
-# Stages 2 and 6-9 share one Release build (build-gate-release) instead of
+# Stages 2, 6-8 and 10 share one Release build (build-gate-release) instead of
 # rebuilding four times. The reuse is guarded by a freshness check: a stage
 # only trusts the existing binaries if nothing under the source tree is newer
 # than they are, otherwise it reconfigures and rebuilds. (The gate used to
@@ -141,6 +146,15 @@ fairness_stage() {
   scripts/fairness_smoke.sh build-gate-release/tools/qperc || return 1
 }
 stage fairness fairness_stage
+
+perfbench_stage() {
+  # The benchmark's own smoke test. perfbench builds its libraries from the
+  # source tree under CARGO_TARGET_DIR; keep that inside the shared release
+  # build directory so the ratchet stage's cleanup removes it too.
+  CARGO_TARGET_DIR="$root/build-gate-release/perfbench" python3 perfbench/smoke_test.py ||
+    return 1
+}
+stage perfbench perfbench_stage
 
 ratchet_stage() {
   # Allocation ratchet: the machine-independent invariants in BENCH_micro.json

@@ -18,8 +18,6 @@ QuicReceiveSide::QuicReceiveSide(
       config_(config),
       request_ack_(std::move(request_ack)),
       on_stream_progress_(std::move(on_stream_progress)),
-      received_(ArenaAllocator<std::pair<const std::uint64_t, std::uint64_t>>(
-          simulator.arena())),
       delayed_ack_timer_(simulator, [this] { request_ack_(); }),
       streams_(simulator.arena()),
       connection_advertised_(config.connection_flow_window_bytes) {}
@@ -32,13 +30,19 @@ std::uint64_t QuicReceiveSide::stream_delivered(std::uint64_t stream_id) const {
 void QuicReceiveSide::on_packet(const QuicPacket& packet) {
   const std::uint64_t pn = packet.packet_number;
 
-  // Record the packet number in the received-range set.
-  bool duplicate = false;
-  auto it = received_.upper_bound(pn);
-  if (it != received_.begin()) {
-    auto prev = std::prev(it);
-    if (pn <= prev->second) duplicate = true;
+  // Record the packet number in the received-range set. `next` indexes the
+  // first range starting above pn; in order arrivals skip the search.
+  const std::uint32_t count = received_.size();
+  std::uint32_t next = count;
+  if (count != 0 && pn < received_.back().first) {
+    next = static_cast<std::uint32_t>(
+        std::upper_bound(received_.begin(), received_.end(), pn,
+                         [](std::uint64_t value, const AckRange& range) {
+                           return value < range.first;
+                         }) -
+        received_.begin());
   }
+  const bool duplicate = next != 0 && pn <= received_[next - 1].second;
   const bool out_of_order = pn < largest_received_;
   if (simulator_.trace() != nullptr) {
     std::uint64_t payload = 0;
@@ -48,33 +52,29 @@ void QuicReceiveSide::on_packet(const QuicPacket& packet) {
   }
   if (!duplicate) {
     // Merge pn into ranges: extend neighbours where adjacent.
-    auto next = received_.lower_bound(pn);
-    const bool joins_next = next != received_.end() && next->first == pn + 1;
-    auto prev = next == received_.begin() ? received_.end() : std::prev(next);
-    const bool joins_prev = prev != received_.end() && prev->second + 1 == pn;
+    const bool joins_prev = next != 0 && received_[next - 1].second + 1 == pn;
+    const bool joins_next = next != count && received_[next].first == pn + 1;
     if (joins_prev && joins_next) {
-      prev->second = next->second;
+      received_[next - 1].second = received_[next].second;
       received_.erase(next);
     } else if (joins_prev) {
-      prev->second = pn;
+      received_[next - 1].second = pn;
     } else if (joins_next) {
-      const std::uint64_t end = next->second;
-      received_.erase(next);
-      received_[pn] = end;
+      received_[next].first = pn;
     } else {
-      received_[pn] = pn;
+      received_.insert(simulator_.arena(), next, AckRange{pn, pn});
     }
     largest_received_ = std::max(largest_received_, pn);
     // The merge must leave ranges sorted, disjoint, and non-adjacent around
     // the insertion point (adjacent ranges should have coalesced).
-    const auto cur = --received_.upper_bound(pn);
-    QPERC_DCHECK_LE(cur->first, cur->second);
-    if (cur != received_.begin()) {
-      QPERC_DCHECK_GT(cur->first, std::prev(cur)->second + 1)
+    const std::uint32_t cur = joins_prev ? next - 1 : next;
+    QPERC_DCHECK_LE(received_[cur].first, received_[cur].second);
+    if (cur != 0) {
+      QPERC_DCHECK_GT(received_[cur].first, received_[cur - 1].second + 1)
           << "received packet ranges failed to coalesce";
     }
-    if (const auto after = std::next(cur); after != received_.end()) {
-      QPERC_DCHECK_GT(after->first, cur->second + 1)
+    if (cur + 1 < received_.size()) {
+      QPERC_DCHECK_GT(received_[cur + 1].first, received_[cur].second + 1)
           << "received packet ranges failed to coalesce";
     }
   }
@@ -189,13 +189,14 @@ void QuicReceiveSide::fill_ack(QuicPacket& packet) {
   // Newest ranges first, capped at the configured range budget. The emitted
   // frame must be sorted (descending) and non-overlapping — the sender-side
   // loss detector indexes unacked packets by these ranges.
-  for (auto it = received_.rbegin();
-       it != received_.rend() && packet.ack_ranges.size() < config_.max_ack_ranges; ++it) {
-    QPERC_DCHECK_LE(it->first, it->second);
-    QPERC_DCHECK(packet.ack_ranges.empty() ||
-                 it->second < packet.ack_ranges.back().first)
+  const std::uint32_t emitted = std::min(received_.size(), config_.max_ack_ranges);
+  packet.ack_ranges.reserve(simulator_.arena(), emitted);
+  for (std::uint32_t i = received_.size(); i > received_.size() - emitted;) {
+    const AckRange& range = received_[--i];
+    QPERC_DCHECK_LE(range.first, range.second);
+    QPERC_DCHECK(packet.ack_ranges.empty() || range.second < packet.ack_ranges.back().first)
         << "emitted ACK ranges overlap";
-    packet.ack_ranges.emplace_back(simulator_.arena(), it->first, it->second);
+    packet.ack_ranges.push_back(simulator_.arena(), range);
   }
   for (const WindowUpdate& update : pending_window_updates_) {
     packet.window_updates.push_back(simulator_.arena(), update);

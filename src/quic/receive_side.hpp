@@ -69,10 +69,10 @@ class QuicReceiveSide {
   std::uint64_t trace_flow_ = 0;
   trace::Endpoint trace_endpoint_ = trace::Endpoint::kNone;
 
-  /// Received packet numbers as [first, last] ranges, keyed by first.
-  std::map<std::uint64_t, std::uint64_t, std::less<std::uint64_t>,
-           ArenaAllocator<std::pair<const std::uint64_t, std::uint64_t>>>
-      received_;
+  /// Received packet numbers as [first, last] ranges: sorted, disjoint and
+  /// non-adjacent. In order arrivals extend or append the last range; a
+  /// reordered packet number costs one binary search and at most one memmove.
+  ArenaVec<AckRange> received_;
   std::uint64_t largest_received_ = 0;
   std::uint32_t ack_eliciting_since_ack_ = 0;
   sim::Timer delayed_ack_timer_;

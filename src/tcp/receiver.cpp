@@ -29,9 +29,14 @@ TcpReceiver::TcpReceiver(sim::Simulator& simulator, const TcpConfig& config,
 std::uint64_t TcpReceiver::advertised_window() const {
   // The application drains delivered bytes immediately; only buffered
   // out-of-order data occupies the window.
+  QPERC_DCHECK_EQ(ooo_bytes_, count_ooo_bytes()) << "out-of-order byte count drifted";
+  return ooo_bytes_ >= rwnd_limit_ ? 0 : rwnd_limit_ - ooo_bytes_;
+}
+
+std::uint64_t TcpReceiver::count_ooo_bytes() const {
   std::uint64_t buffered = 0;
   for (const auto& [start, end] : ooo_ranges_) buffered += end - start;
-  return buffered >= rwnd_limit_ ? 0 : rwnd_limit_ - buffered;
+  return buffered;
 }
 
 void TcpReceiver::autotune(std::uint64_t newly_delivered) {
@@ -67,6 +72,7 @@ void TcpReceiver::on_data(std::uint64_t seq, std::uint32_t payload_bytes) {
     auto it = ooo_ranges_.begin();
     while (it != ooo_ranges_.end() && it->first <= rcv_nxt_) {
       rcv_nxt_ = std::max(rcv_nxt_, it->second);
+      ooo_bytes_ -= it->second - it->first;
       std::erase(recency_, it->first);
       it = ooo_ranges_.erase(it);
     }
@@ -81,6 +87,7 @@ void TcpReceiver::on_data(std::uint64_t seq, std::uint32_t payload_bytes) {
       if (prev->second >= seq) {
         new_start = prev->first;
         new_end = std::max(new_end, prev->second);
+        ooo_bytes_ -= prev->second - prev->first;
         std::erase(recency_, prev->first);
         ooo_ranges_.erase(prev);
       }
@@ -88,10 +95,12 @@ void TcpReceiver::on_data(std::uint64_t seq, std::uint32_t payload_bytes) {
     it = ooo_ranges_.lower_bound(new_start);
     while (it != ooo_ranges_.end() && it->first <= new_end) {
       new_end = std::max(new_end, it->second);
+      ooo_bytes_ -= it->second - it->first;
       std::erase(recency_, it->first);
       it = ooo_ranges_.erase(it);
     }
     ooo_ranges_[new_start] = new_end;
+    ooo_bytes_ += new_end - new_start;
     recency_.insert(recency_.begin(), new_start);
   }
 

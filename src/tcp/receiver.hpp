@@ -47,6 +47,8 @@ class TcpReceiver {
 
  private:
   void schedule_ack(bool immediate);
+  /// Scan-derived ooo_bytes_, for the invariant check.
+  [[nodiscard]] std::uint64_t count_ooo_bytes() const;
   void autotune(std::uint64_t newly_delivered);
 
   sim::Simulator& simulator_;
@@ -63,6 +65,9 @@ class TcpReceiver {
   std::map<std::uint64_t, std::uint64_t, std::less<std::uint64_t>,
            ArenaAllocator<std::pair<const std::uint64_t, std::uint64_t>>>
       ooo_ranges_;
+  /// Total bytes held in ooo_ranges_, kept by on_data's absorb and merge
+  /// sites so advertised_window() does not walk the ranges on every ACK.
+  std::uint64_t ooo_bytes_ = 0;
   /// Range starts ordered by update recency (most recent first) for RFC 2018
   /// SACK block selection.
   std::vector<std::uint64_t, ArenaAllocator<std::uint64_t>> recency_;

@@ -26,8 +26,6 @@ TcpSender::TcpSender(sim::Simulator& simulator, const TcpConfig& config,
                              .segment_bytes = static_cast<std::uint32_t>(config.mss)}),
       sampler_(simulator.arena()),
       send_buffer_bytes_(send_buffer_bytes),
-      segments_(ArenaAllocator<std::pair<const std::uint64_t, SegmentRecord>>(
-          simulator.arena())),
       retx_timer_(simulator, [this] { on_retransmission_timer(); }),
       send_timer_(simulator, [this] { maybe_send(); }) {
   cc_wants_rate_ = cc_->uses_delivery_rate();
@@ -66,10 +64,35 @@ void TcpSender::restart_from_idle_if_needed() {
 }
 
 TcpSender::SegmentRecord* TcpSender::next_lost_segment() {
-  for (auto& [start, record] : segments_) {
+  QPERC_DCHECK_EQ(lost_count_, count_lost_segments()) << "lost-segment count drifted";
+  if (lost_count_ == 0) return nullptr;
+  for (std::uint32_t i = 0; i < segments_.size(); ++i) {
+    SegmentRecord& record = segments_[i];
     if (record.lost && !record.sacked) return &record;
   }
   return nullptr;
+}
+
+std::uint32_t TcpSender::first_segment_at(std::uint64_t seq) const {
+  std::uint32_t lo = 0;
+  std::uint32_t hi = segments_.size();
+  while (lo < hi) {
+    const std::uint32_t mid = lo + (hi - lo) / 2;
+    if (segments_[mid].start < seq) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+std::uint32_t TcpSender::count_lost_segments() const {
+  std::uint32_t lost = 0;
+  for (std::uint32_t i = 0; i < segments_.size(); ++i) {
+    lost += segments_[i].lost && !segments_[i].sacked ? 1 : 0;
+  }
+  return lost;
 }
 
 void TcpSender::maybe_send() {
@@ -82,8 +105,11 @@ void TcpSender::maybe_send() {
     if (outstanding_bytes_ >= cwnd) return;  // window full; ACK clock will resume
 
     SegmentRecord* candidate = next_lost_segment();
-    bool is_retransmission = candidate != nullptr;
-    if (candidate == nullptr) {
+    const bool is_retransmission = candidate != nullptr;
+    std::uint64_t len = 0;
+    if (is_retransmission) {
+      len = candidate->end - candidate->start;
+    } else {
       if (next_seq_ >= app_bytes_total_) {
         // Nothing more to send although the window has room: app-limited.
         sampler_.on_app_limited();
@@ -92,26 +118,20 @@ void TcpSender::maybe_send() {
       // Respect the peer's advertised receive window for new data.
       const std::uint64_t in_window = next_seq_ - highest_cum_ack_;
       if (in_window >= peer_rwnd_) return;  // zero-window; opened by later ACKs
-      const std::uint64_t len =
-          std::min({config_.mss, app_bytes_total_ - next_seq_, peer_rwnd_ - in_window});
-      auto [it, inserted] =
-          segments_.try_emplace(next_seq_, SegmentRecord{.start = next_seq_,
-                                                         .end = next_seq_ + len});
-      candidate = &it->second;
-      next_seq_ += len;
+      len = std::min({config_.mss, app_bytes_total_ - next_seq_, peer_rwnd_ - in_window});
     }
 
-    const auto wire_bytes =
-        static_cast<std::uint32_t>(candidate->end - candidate->start) + kTcpHeaderBytes;
+    const auto wire_bytes = static_cast<std::uint32_t>(len) + kTcpHeaderBytes;
     const SimTime release = pacer_.next_send_time(simulator_.now(), wire_bytes);
     if (release > simulator_.now()) {
-      // Undo speculative packetization of new data so a later call re-derives it.
-      if (!is_retransmission) {
-        next_seq_ = candidate->start;
-        segments_.erase(candidate->start);
-      }
       send_timer_.set_at(release);
       return;
+    }
+    if (!is_retransmission) {
+      // New data is packetized only once the pacer releases it.
+      candidate = &segments_.push_back(
+          simulator_.arena(), SegmentRecord{.start = next_seq_, .end = next_seq_ + len});
+      next_seq_ += len;
     }
     transmit(*candidate, is_retransmission);
   }
@@ -126,6 +146,7 @@ void TcpSender::transmit(SegmentRecord& record, bool is_retransmission) {
   record.transmissions += 1;
   record.last_sent = now;
   record.packet_id = next_packet_id_++;
+  if (record.lost && !record.sacked) --lost_count_;
   record.lost = false;
   record.lost_by_rto = false;
   if (!record.outstanding) {
@@ -237,12 +258,13 @@ void TcpSender::on_ack_received(const TcpSegment& segment) {
   // Cumulative acknowledgment.
   const bool cum_advanced = segment.cumulative_ack > highest_cum_ack_;
   if (cum_advanced) {
-    auto it = segments_.begin();
-    while (it != segments_.end() && it->second.end <= segment.cumulative_ack) {
-      mark_delivered(it->second, now, newly_delivered, rtt_sample, newest_sent_time,
+    while (!segments_.empty() && segments_.front().end <= segment.cumulative_ack) {
+      SegmentRecord& record = segments_.front();
+      mark_delivered(record, now, newly_delivered, rtt_sample, newest_sent_time,
                      newest_packet_id);
-      consider_rate_sample(it->second.packet_id);
-      it = segments_.erase(it);
+      consider_rate_sample(record.packet_id);
+      if (record.lost && !record.sacked) --lost_count_;
+      segments_.pop_front();
     }
     highest_cum_ack_ = segment.cumulative_ack;
   }
@@ -251,11 +273,12 @@ void TcpSender::on_ack_received(const TcpSegment& segment) {
   for (const auto& block : segment.sacks()) {
     QPERC_DCHECK_LT(block.start, block.end) << "empty SACK block";
     QPERC_DCHECK_LE(block.end, next_seq_) << "SACK block beyond SND.NXT";
-    for (auto it = segments_.lower_bound(block.start);
-         it != segments_.end() && it->second.end <= block.end; ++it) {
-      SegmentRecord& record = it->second;
+    for (std::uint32_t i = first_segment_at(block.start);
+         i < segments_.size() && segments_[i].end <= block.end; ++i) {
+      SegmentRecord& record = segments_[i];
       if (record.sacked) continue;
       record.sacked = true;
+      if (record.lost) --lost_count_;
       mark_delivered(record, now, newly_delivered, rtt_sample, newest_sent_time,
                      newest_packet_id);
       consider_rate_sample(record.packet_id);
@@ -318,10 +341,12 @@ void TcpSender::undo_spurious_rto() {
   // sender keeps waiting for their original ACKs instead of blasting a
   // go-back-N retransmission storm into an already-slow link, and undo the
   // window collapse (the path did not actually lose anything).
-  for (auto& [start, record] : segments_) {
+  for (std::uint32_t i = 0; i < segments_.size(); ++i) {
+    SegmentRecord& record = segments_[i];
     if (!record.lost || !record.lost_by_rto || record.sacked) continue;
     record.lost = false;
     record.lost_by_rto = false;
+    --lost_count_;
     if (!record.outstanding) {
       record.outstanding = true;
       outstanding_bytes_ += record.end - record.start;
@@ -341,11 +366,13 @@ void TcpSender::detect_losses(SimTime newest_delivered_sent_time) {
       rtt_.has_sample() ? std::max<SimDuration>(rtt_.min_rtt() / 4, milliseconds(1))
                         : SimDuration{milliseconds(5)};
   bool any_lost = false;
-  for (auto& [start, record] : segments_) {
+  for (std::uint32_t i = 0; i < segments_.size(); ++i) {
+    SegmentRecord& record = segments_[i];
     if (record.sacked || record.lost || !record.outstanding) continue;
     if (record.last_sent + reorder_window < newest_delivered_sent_time) {
       record.lost = true;
       record.lost_by_rto = false;
+      ++lost_count_;
       record.outstanding = false;
       QPERC_DCHECK_GE(outstanding_bytes_, record.end - record.start);
       outstanding_bytes_ -= record.end - record.start;
@@ -375,7 +402,7 @@ void TcpSender::enter_recovery_if_needed() {
 
 void TcpSender::rearm_retransmission_timer() {
   const bool has_outstanding = outstanding_bytes_ > 0;
-  const bool has_lost = next_lost_segment() != nullptr;
+  const bool has_lost = lost_count_ != 0;
   if (!has_outstanding && !has_lost) {
     retx_timer_.cancel();
     return;
@@ -403,10 +430,17 @@ void TcpSender::on_retransmission_timer() {
     ++stats_.tail_probes;
     simulator_.trace_event(trace::EventType::kTlpFired, trace_endpoint_, trace_flow_);
     SegmentRecord* tail = nullptr;
-    for (auto& [start, record] : segments_) {
-      if (record.outstanding && !record.sacked) tail = &record;
+    for (std::uint32_t i = segments_.size(); i-- > 0;) {
+      if (segments_[i].outstanding && !segments_[i].sacked) {
+        tail = &segments_[i];
+        break;
+      }
     }
     if (tail != nullptr) {
+      // Known leak: the probe gives the record a new packet_id, and the
+      // sampler entry of the old one is never acked or lost, so it stays
+      // counted in flight for the rest of the connection (fixing it shifts
+      // BBR results).
       transmit(*tail, true);
     } else {
       rearm_retransmission_timer();
@@ -419,10 +453,12 @@ void TcpSender::on_retransmission_timer() {
   rto_backoff_ = std::min(rto_backoff_ + 1, 10u);
   simulator_.trace_event(trace::EventType::kRtoFired, trace_endpoint_, trace_flow_,
                          /*id=*/0, /*bytes=*/0, rto_backoff_);
-  for (auto& [start, record] : segments_) {
+  for (std::uint32_t i = 0; i < segments_.size(); ++i) {
+    SegmentRecord& record = segments_[i];
     if (record.sacked || record.lost) continue;
     record.lost = true;
     record.lost_by_rto = true;
+    ++lost_count_;
     if (record.outstanding) {
       record.outstanding = false;
       QPERC_DCHECK_GE(outstanding_bytes_, record.end - record.start);

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 
 #include "cc/bandwidth_sampler.hpp"
@@ -84,8 +83,13 @@ class TcpSender {
 
   void maybe_send();
   void transmit(SegmentRecord& record, bool is_retransmission);
-  /// Finds the next segment to (re)transmit; nullptr when nothing is eligible.
+  /// Finds the oldest segment awaiting retransmission; nullptr when nothing
+  /// is eligible (at once when lost_count_ is zero).
   SegmentRecord* next_lost_segment();
+  /// Index of the first segment starting at or after `seq` (binary search).
+  [[nodiscard]] std::uint32_t first_segment_at(std::uint64_t seq) const;
+  /// Scan-derived lost_count_, for the invariant check.
+  [[nodiscard]] std::uint32_t count_lost_segments() const;
   void mark_delivered(SegmentRecord& record, SimTime now, std::uint64_t& newly_delivered,
                       SimDuration& rtt_sample, SimTime& newest_delivered_sent_time,
                       std::uint64_t& newest_delivered_packet_id);
@@ -122,12 +126,16 @@ class TcpSender {
   std::uint64_t highest_cum_ack_ = 0;  // snd_una
   std::uint64_t peer_rwnd_ = 0;
   std::uint64_t outstanding_bytes_ = 0;  // the SACK "pipe"
-  /// Keyed by start seq. Nodes come from the trial arena: insert/erase churn
-  /// during recovery never touches the heap (ordering and iteration are those
-  /// of a plain std::map, so results are unchanged).
-  std::map<std::uint64_t, SegmentRecord, std::less<std::uint64_t>,
-           ArenaAllocator<std::pair<const std::uint64_t, SegmentRecord>>>
-      segments_;
+  /// The scoreboard: one record per packetized segment in [snd_una,
+  /// snd_nxt), in sequence order and contiguous (each record starts where the
+  /// previous one ends). A record is appended only when it is first
+  /// transmitted and erased only from the front, by the cumulative ACK; SACK
+  /// blocks find their first record by binary search. Arena-backed ring:
+  /// every per-ACK walk is a scan over contiguous slots.
+  ArenaRing<SegmentRecord> segments_;
+  /// Records with `lost && !sacked` (awaiting retransmission), so the
+  /// per-send and per-rearm "anything lost?" queries skip the scan.
+  std::uint32_t lost_count_ = 0;
 
   std::uint64_t next_packet_id_ = 1;
   SimTime last_send_time_{0};

@@ -180,6 +180,23 @@ class ArenaVec {
     if (count > capacity_) regrow(arena, count);
   }
 
+  /// Inserts `value` before position `pos` (<= size()), shifting the tail
+  /// up by one slot with a single memmove.
+  T& insert(Arena& arena, std::uint32_t pos, const T& value) {
+    QPERC_DCHECK_LE(pos, size_) << "ArenaVec::insert past the end";
+    if (size_ == capacity_) grow(arena);
+    std::memmove(data_ + pos + 1, data_ + pos, (size_ - pos) * sizeof(T));
+    data_[pos] = value;
+    ++size_;
+    return data_[pos];
+  }
+  /// Removes the element at `pos`, shifting the tail down by one slot.
+  void erase(std::uint32_t pos) noexcept {
+    QPERC_DCHECK_LT(pos, size_) << "ArenaVec::erase past the end";
+    std::memmove(data_ + pos, data_ + pos + 1, (size_ - pos - 1) * sizeof(T));
+    --size_;
+  }
+
   void clear() noexcept { size_ = 0; }
 
   [[nodiscard]] T* begin() noexcept { return data_; }
@@ -206,6 +223,67 @@ class ArenaVec {
   }
 
   T* data_ = nullptr;
+  std::uint32_t size_ = 0;
+  std::uint32_t capacity_ = 0;
+};
+
+/// Grow-only FIFO ring backed by an Arena: elements are appended at the back,
+/// removed only from the front, and indexed from the front (0 = oldest). The
+/// capacity is a power of two, so an index is one add and one mask; a full
+/// ring doubles into a fresh arena slab (copying its elements in order) and
+/// never shrinks. The abandoned slab is reclaimed with the arena, so the
+/// memory a ring holds is bounded by twice its peak size.
+template <class T>
+class ArenaRing {
+  static_assert(std::is_trivially_copyable_v<T> && std::is_trivially_destructible_v<T>,
+                "ArenaRing elements must be trivially copyable and destructible");
+
+ public:
+  ArenaRing() = default;
+  ArenaRing(const ArenaRing&) = delete;
+  ArenaRing& operator=(const ArenaRing&) = delete;
+
+  T& push_back(Arena& arena, const T& value) {
+    if (size_ == capacity_) grow(arena);
+    T& slot = data_[(head_ + size_) & (capacity_ - 1)];
+    slot = value;
+    ++size_;
+    return slot;
+  }
+  void pop_front() noexcept {
+    QPERC_DCHECK(size_ != 0) << "pop_front() on an empty ArenaRing";
+    head_ = (head_ + 1) & (capacity_ - 1);
+    --size_;
+  }
+
+  [[nodiscard]] std::uint32_t size() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] T& operator[](std::uint32_t i) noexcept {
+    QPERC_DCHECK_LT(i, size_) << "ArenaRing index out of range";
+    return data_[(head_ + i) & (capacity_ - 1)];
+  }
+  [[nodiscard]] const T& operator[](std::uint32_t i) const noexcept {
+    QPERC_DCHECK_LT(i, size_) << "ArenaRing index out of range";
+    return data_[(head_ + i) & (capacity_ - 1)];
+  }
+  [[nodiscard]] T& front() noexcept { return (*this)[0]; }
+  [[nodiscard]] T& back() noexcept { return (*this)[size_ - 1]; }
+
+ private:
+  void grow(Arena& arena) {
+    const std::uint32_t next_capacity = capacity_ == 0 ? 16 : capacity_ * 2;
+    T* next = arena.allocate_array<T>(next_capacity);
+    // Unwrap: the elements from head_ to the slab's end, then the wrapped rest.
+    const std::uint32_t first = std::min(size_, capacity_ - head_);
+    if (first != 0) std::memcpy(next, data_ + head_, first * sizeof(T));
+    if (size_ != first) std::memcpy(next + first, data_, (size_ - first) * sizeof(T));
+    data_ = next;
+    head_ = 0;
+    capacity_ = next_capacity;
+  }
+
+  T* data_ = nullptr;
+  std::uint32_t head_ = 0;
   std::uint32_t size_ = 0;
   std::uint32_t capacity_ = 0;
 };

@@ -2,8 +2,15 @@
 // reliability under loss, flow control.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "net/impairments.hpp"
 #include "tests/transport_test_util.hpp"
+#include "trace/memory_sink.hpp"
+#include "util/rng.hpp"
 
 namespace qperc::quic {
 namespace {
@@ -142,6 +149,81 @@ TEST(QuicAckRanges, CapsAtConfiguredMaximum) {
   QuicPacket ack;
   receiver.fill_ack(ack);
   EXPECT_EQ(ack.ack_ranges.size(), 8u);
+}
+
+// Seeded packet-number arrivals against the receiver's range bookkeeping as
+// the std::set of packet numbers it summarizes: every duplicate flag and
+// every ACK frame's ranges (newest first, capped at 256) must match. The
+// stream runs 4000 packet numbers; one in five is held back, and two thirds
+// of those arrive up to 600 positions late (reordering that extends, joins
+// or splits ranges deep in the history) while the rest never arrive (more
+// permanent gaps than the cap); one in nine arrivals is repeated.
+TEST(QuicReceiveSide, AckRangesMatchSetReference) {
+  sim::Simulator simulator;
+  trace::MemorySink sink;
+  simulator.set_trace(&sink);
+  QuicConfig config;
+  QuicReceiveSide receiver(simulator, config, [] {},
+                           [](std::uint64_t, std::uint64_t, bool) {});
+  Rng rng(20190101);
+
+  std::vector<std::uint64_t> arrivals;
+  std::vector<std::pair<std::size_t, std::uint64_t>> held;  // (due position, pn)
+  for (std::uint64_t pn = 1; pn <= 4000; ++pn) {
+    if (rng.uniform() < 1.0 / 5.0) {
+      if (rng.uniform() >= 1.0 / 3.0) {
+        held.emplace_back(arrivals.size() + 1 + static_cast<std::size_t>(rng.uniform() * 600), pn);
+      }
+    } else {
+      arrivals.push_back(pn);
+    }
+    if (!arrivals.empty() && rng.uniform() < 1.0 / 9.0) {
+      arrivals.push_back(arrivals[static_cast<std::size_t>(rng.uniform() *
+                                                           static_cast<double>(arrivals.size()))]);
+    }
+    for (auto it = held.begin(); it != held.end();) {
+      if (it->first <= arrivals.size()) {
+        arrivals.push_back(it->second);
+        it = held.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+  for (const auto& [due, pn] : held) arrivals.push_back(pn);
+
+  std::set<std::uint64_t> reference;
+  std::size_t duplicates = 0;
+  std::size_t max_gaps = 0;
+  for (const std::uint64_t pn : arrivals) {
+    QuicPacket packet;
+    packet.packet_number = pn;
+    packet.ack_eliciting = true;
+    receiver.on_packet(packet);
+    const bool expected_duplicate = !reference.insert(pn).second;
+    duplicates += expected_duplicate ? 1 : 0;
+    ASSERT_EQ(sink.events().back().type, trace::EventType::kPacketReceived);
+    EXPECT_EQ(sink.events().back().value, expected_duplicate ? 1u : 0u) << "pn " << pn;
+
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> expected;
+    std::size_t ranges = 0;
+    for (auto it = reference.rbegin(); it != reference.rend(); ++ranges) {
+      const std::uint64_t last = *it;
+      std::uint64_t first = last;
+      for (++it; it != reference.rend() && *it == first - 1; ++it) first = *it;
+      if (expected.size() < config.max_ack_ranges) expected.emplace_back(first, last);
+    }
+    max_gaps = std::max(max_gaps, ranges - 1);
+    EXPECT_EQ(receiver.ack_range_count(), ranges) << "pn " << pn;
+
+    QuicPacket ack;
+    receiver.fill_ack(ack);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> emitted;
+    for (const AckRange& range : ack.ack_ranges) emitted.emplace_back(range.first, range.second);
+    ASSERT_EQ(emitted, expected) << "after pn " << pn;
+  }
+  EXPECT_GT(duplicates, 300u);
+  EXPECT_GT(max_gaps, std::size_t{config.max_ack_ranges});
 }
 
 TEST(QuicReceiveSide, ReassemblesStreamsIndependently) {

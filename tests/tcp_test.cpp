@@ -1,11 +1,16 @@
 // TCP stack tests: handshake cost, reliability under loss, Table-1 knobs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cstdint>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "net/impairments.hpp"
 #include "tcp/sender.hpp"
+#include "trace/memory_sink.hpp"
 #include "tests/transport_test_util.hpp"
 
 namespace qperc::tcp {
@@ -374,6 +379,373 @@ TEST(TcpImpairment, AckDelaySpikeIsDetectedAsSpuriousRto) {
   const net::TransportStats stats = harness.connection->stats();
   EXPECT_GE(stats.timeouts, 1u);
   EXPECT_GE(stats.spurious_timeouts, 1u);
+}
+
+/// Reference for the sender's segment ring: the same scoreboard algorithm
+/// over a plain std::map keyed by start sequence. Fed the sender's own
+/// transmissions, probes and timeouts (read back from the trace) and the
+/// peer's ACKs, it predicts the pipe, the kPacketLost and kSpuriousLoss
+/// events, and which segment every retransmission picks.
+class MapScoreboard {
+ public:
+  using Pair = std::pair<std::uint64_t, std::uint64_t>;
+
+  std::uint64_t pipe = 0;
+  std::vector<Pair> lost;           // (seq, by_rto)
+  std::vector<Pair> spurious;       // (seq, by_rto)
+  std::vector<Pair> retransmitted;  // predicted (seq, transmissions)
+  /// Probe or timeout firings while nothing was in flight or awaiting
+  /// retransmission: the timer must have been cancelled.
+  std::size_t unarmed_timer_fires = 0;
+
+  void on_event(const trace::Event& event) {
+    switch (event.type) {
+      case trace::EventType::kPacketSent:
+        segments_[event.id] = Record{.end = event.id + event.bytes,
+                                     .transmissions = 1,
+                                     .last_sent = event.time,
+                                     .outstanding = true};
+        pipe += event.bytes;
+        break;
+      case trace::EventType::kPacketRetransmitted: {
+        // A probe resends the newest outstanding segment; anything else the
+        // oldest segment awaiting retransmission.
+        auto pick = segments_.end();
+        if (probe_pending_) {
+          for (auto it = segments_.begin(); it != segments_.end(); ++it) {
+            if (it->second.outstanding && !it->second.sacked) pick = it;
+          }
+        } else {
+          pick = std::find_if(segments_.begin(), segments_.end(), [](const auto& entry) {
+            return entry.second.lost && !entry.second.sacked;
+          });
+        }
+        probe_pending_ = false;
+        retransmitted.emplace_back(pick == segments_.end() ? ~std::uint64_t{0} : pick->first,
+                                   pick == segments_.end() ? 0 : pick->second.transmissions + 1);
+        // Follow the sender's actual choice so one mismatch does not cascade.
+        Record& record = segments_.at(event.id);
+        ++record.transmissions;
+        record.last_sent = event.time;
+        record.lost = false;
+        record.lost_by_rto = false;
+        if (!record.outstanding) {
+          record.outstanding = true;
+          pipe += record.end - event.id;
+        }
+        break;
+      }
+      case trace::EventType::kTlpFired:
+        count_unarmed_fire();
+        probe_pending_ = std::any_of(segments_.begin(), segments_.end(), [](const auto& entry) {
+          return entry.second.outstanding && !entry.second.sacked;
+        });
+        break;
+      case trace::EventType::kRtoFired:
+        count_unarmed_fire();
+        for (auto& [start, record] : segments_) {
+          if (record.sacked || record.lost) continue;
+          record.lost = true;
+          record.lost_by_rto = true;
+          if (record.outstanding) {
+            record.outstanding = false;
+            pipe -= record.end - start;
+          }
+          lost.emplace_back(start, 1);
+        }
+        break;
+      default:
+        break;
+    }
+  }
+
+  void on_ack(const TcpSegment& ack, SimDuration reorder_window) {
+    SimTime newest_sent{0};
+    bool spurious_rto = false;
+    const auto deliver = [&](std::uint64_t start, Record& record) {
+      if (record.delivered_counted) return;
+      record.delivered_counted = true;
+      if (record.lost) spurious.emplace_back(start, record.lost_by_rto ? 1 : 0);
+      if (record.lost && record.lost_by_rto && record.transmissions == 1) spurious_rto = true;
+      if (record.outstanding) {
+        record.outstanding = false;
+        pipe -= record.end - start;
+      }
+      newest_sent = std::max(newest_sent, record.last_sent);
+    };
+    if (ack.cumulative_ack > cumulative_) {
+      for (auto it = segments_.begin();
+           it != segments_.end() && it->second.end <= ack.cumulative_ack;) {
+        deliver(it->first, it->second);
+        it = segments_.erase(it);
+      }
+      cumulative_ = ack.cumulative_ack;
+    }
+    for (const SackBlock& block : ack.sacks()) {
+      for (auto it = segments_.lower_bound(block.start);
+           it != segments_.end() && it->second.end <= block.end; ++it) {
+        if (it->second.sacked) continue;
+        it->second.sacked = true;
+        deliver(it->first, it->second);
+      }
+    }
+    rack_newest_sent_ = std::max(rack_newest_sent_, newest_sent);
+    if (spurious_rto) {
+      for (auto& [start, record] : segments_) {
+        if (!record.lost || !record.lost_by_rto || record.sacked) continue;
+        record.lost = false;
+        record.lost_by_rto = false;
+        if (!record.outstanding) {
+          record.outstanding = true;
+          pipe += record.end - start;
+        }
+      }
+    }
+    if (rack_newest_sent_ == SimTime{0}) return;
+    for (auto& [start, record] : segments_) {
+      if (record.sacked || record.lost || !record.outstanding) continue;
+      if (record.last_sent + reorder_window < rack_newest_sent_) {
+        record.lost = true;
+        record.outstanding = false;
+        pipe -= record.end - start;
+        lost.emplace_back(start, 0);
+      }
+    }
+  }
+
+ private:
+  void count_unarmed_fire() {
+    const bool lost_pending =
+        std::any_of(segments_.begin(), segments_.end(), [](const auto& entry) {
+          return entry.second.lost && !entry.second.sacked;
+        });
+    if (pipe == 0 && !lost_pending) ++unarmed_timer_fires;
+  }
+
+  struct Record {
+    std::uint64_t end = 0;
+    std::uint32_t transmissions = 0;
+    SimTime last_sent{0};
+    bool sacked = false;
+    bool lost = false;
+    bool lost_by_rto = false;
+    bool outstanding = false;
+    bool delivered_counted = false;
+  };
+
+  std::map<std::uint64_t, Record> segments_;
+  std::uint64_t cumulative_ = 0;
+  SimTime rack_newest_sent_{0};
+  bool probe_pending_ = false;
+};
+
+/// What one long scoreboard history observed, next to the reference's
+/// predictions of the same quantities.
+struct ScoreboardRun {
+  std::vector<std::uint64_t> pipe_after_ack;  // kMetricsUpdated bytes, per ACK
+  std::vector<std::uint64_t> reference_pipe_after_ack;
+  std::vector<std::uint64_t> bytes_in_flight;  // after the ACK's own sends
+  std::vector<std::uint64_t> reference_bytes_in_flight;
+  std::vector<std::uint64_t> cwnd_after_ack;
+  std::vector<MapScoreboard::Pair> lost;
+  std::vector<MapScoreboard::Pair> spurious;
+  std::vector<MapScoreboard::Pair> retransmitted;  // (seq, transmissions)
+  MapScoreboard reference;
+  net::TransportStats stats;
+};
+
+/// Drives a bare TcpSender against a scripted peer in 5 ms steps with a
+/// 10 ms one-way delay each way. The app writes in bursts whose sizes are not
+/// MSS multiples, so segment lengths vary; a hash of (segment, transmission)
+/// drops one data packet in 23 for good (SACK holes, RACK losses, tail-loss
+/// probes at burst ends) and delays one in 31 past the reorder window
+/// (spurious RACK losses). For 60 steps the peer's ACKs are lost: the
+/// probe fires, then the RTO, and the ACKs that resume prove the timeout
+/// spurious (undo). The peer SACKs the range it just grew first, then the
+/// highest others, up to three blocks. The last burst is followed by 700 ms
+/// of idle, long past the minimum RTO.
+ScoreboardRun run_scoreboard_history(const TcpConfig& config) {
+  constexpr int kSteps = 600;
+  constexpr int kLastBurst = 450;
+  constexpr int kOneWaySteps = 2;
+  constexpr int kLateSteps = 3;
+  constexpr int kBurstEvery = 90;
+  constexpr int kBlackoutStart = 2 * kBurstEvery + 2;
+  constexpr int kBlackoutEnd = kBlackoutStart + 60;
+  constexpr std::uint64_t kBurstBytes = 200'001;
+  const SimDuration step = milliseconds(5);
+
+  sim::Simulator simulator;
+  trace::MemorySink sink;
+  simulator.set_trace(&sink);
+  std::vector<TcpSegment> wire;
+  TcpSender sender(simulator, config, std::uint64_t{1} << 32,
+                   [&wire](TcpSegment segment) { wire.push_back(segment); });
+  sender.on_established(std::uint64_t{1} << 30, milliseconds(20));
+
+  ScoreboardRun run;
+  std::size_t folded = 0;
+  const auto fold_events = [&] {
+    for (; folded < sink.events().size(); ++folded) {
+      const trace::Event& event = sink.events()[folded];
+      run.reference.on_event(event);
+      switch (event.type) {
+        case trace::EventType::kPacketLost:
+          run.lost.emplace_back(event.id, event.value);
+          break;
+        case trace::EventType::kSpuriousLoss:
+          run.spurious.emplace_back(event.id, event.value);
+          break;
+        case trace::EventType::kPacketRetransmitted:
+          run.retransmitted.emplace_back(event.id, event.value);
+          break;
+        case trace::EventType::kMetricsUpdated:
+          run.pipe_after_ack.push_back(event.bytes);
+          break;
+        default:
+          break;
+      }
+    }
+  };
+
+  std::vector<std::pair<int, TcpSegment>> to_peer;  // (arrival step, segment)
+  std::vector<std::pair<int, TcpSegment>> to_sender;
+  std::size_t sent = 0;
+  std::map<std::uint64_t, int> tail_sends;
+  std::map<std::uint64_t, std::uint64_t> peer_ranges;  // out of order, [start, end)
+  std::uint64_t peer_cumulative = 0;
+
+  for (int now_step = 0; now_step < kSteps; ++now_step) {
+    if (now_step % kBurstEvery == 0 && now_step <= kLastBurst) {
+      (void)sender.write(kBurstBytes);
+    }
+    simulator.run_until(simulator.now() + step);
+    fold_events();
+
+    for (; sent < wire.size(); ++sent) {
+      const TcpSegment& segment = wire[sent];
+      const std::uint64_t hash =
+          (segment.seq / 1460 * 0x9e3779b97f4a7c15ULL + sent * 0xbf58476d1ce4e5b9ULL) >> 33;
+      if (hash % 23 == 0) continue;
+      // The first transmission of every burst's last segment is lost too.
+      if ((segment.seq + segment.payload_bytes) % kBurstBytes == 0 &&
+          ++tail_sends[segment.seq] <= 2) {
+        continue;
+      }
+      to_peer.emplace_back(now_step + kOneWaySteps + (hash % 31 == 0 ? kLateSteps : 0),
+                           segment);
+    }
+
+    bool arrived = false;
+    std::uint64_t newest_start = 0;
+    for (const auto& [arrival, segment] : to_peer) {
+      if (arrival != now_step) continue;
+      arrived = true;
+      std::uint64_t start = segment.seq;
+      std::uint64_t end = segment.seq + segment.payload_bytes;
+      if (end <= peer_cumulative) continue;
+      auto it = peer_ranges.upper_bound(start);
+      if (it != peer_ranges.begin() && std::prev(it)->second >= start) --it;
+      while (it != peer_ranges.end() && it->first <= end) {
+        start = std::min(start, it->first);
+        end = std::max(end, it->second);
+        it = peer_ranges.erase(it);
+      }
+      if (start <= peer_cumulative) {
+        peer_cumulative = std::max(peer_cumulative, end);
+      } else {
+        peer_ranges[start] = end;
+        newest_start = start;
+      }
+    }
+    if (arrived && (now_step < kBlackoutStart || now_step >= kBlackoutEnd)) {
+      TcpSegment ack;
+      ack.has_ack = true;
+      ack.cumulative_ack = peer_cumulative;
+      ack.receive_window_bytes = std::uint64_t{1} << 30;
+      const auto add_block = [&ack](std::uint64_t start, std::uint64_t end) {
+        if (ack.sack_count < kMaxSackBlocks) ack.sack_blocks[ack.sack_count++] = {start, end};
+      };
+      if (const auto newest = peer_ranges.find(newest_start); newest != peer_ranges.end()) {
+        add_block(newest->first, newest->second);
+      }
+      for (auto it = peer_ranges.rbegin(); it != peer_ranges.rend(); ++it) {
+        if (it->first != newest_start) add_block(it->first, it->second);
+      }
+      to_sender.emplace_back(now_step + kOneWaySteps, ack);
+    }
+
+    for (const auto& [arrival, ack] : to_sender) {
+      if (arrival != now_step) continue;
+      sender.on_ack_received(ack);
+      const cc::RttEstimator& rtt = sender.rtt();
+      run.reference.on_ack(ack, rtt.has_sample()
+                                    ? std::max<SimDuration>(rtt.min_rtt() / 4, milliseconds(1))
+                                    : SimDuration{milliseconds(5)});
+      run.reference_pipe_after_ack.push_back(run.reference.pipe);
+      fold_events();
+      run.reference_bytes_in_flight.push_back(run.reference.pipe);
+      run.bytes_in_flight.push_back(sender.bytes_in_flight());
+      run.cwnd_after_ack.push_back(sender.controller().congestion_window());
+    }
+  }
+  run.stats = sender.stats();
+  return run;
+}
+
+// Per-ACK congestion windows of the two histories below, recorded from a
+// sender whose scoreboard was a std::map; the ring must feed its controller
+// the same ACK samples.
+constexpr std::uint64_t kScoreboardCubicCwnd[] = {
+    27740, 20536, 20536, 21073, 21080, 21788, 21813, 22535, 22545, 16733,
+    16733, 16737, 17139, 17234, 17263, 17829, 17942, 17975, 18547, 18663,
+    13073, 13606, 13734, 13771, 14284, 11333, 11823, 12762, 13485, 14198,
+    14208, 14951, 14965, 15668, 10980, 12195, 12712, 13230, 10490, 10817,
+    10839, 11463, 8049, 9090, 9973, 10315, 10349, 8374, 8374, 9216,
+    10127, 10825, 11717, 12420, 12431, 13021, 10085, 10578, 10603, 11471,
+    11488, 12201, 12223, 12734, 8995, 9895, 10522, 11126, 11155, 11612,
+    11655, 12144, 8591, 9572, 10434, 11341, 12061, 12766, 10256, 10906,
+    11510, 9299, 9738, 9760, 10490, 10517, 11191, 7859, 8951, 9582,
+    9602, 10346, 8781, 9306, 10158, 10666, 8914, 9277, 9297, 10086,
+    10109, 10610, 7456, 8668, 9274, 9959, 9981, 10322, 7256, 8164,
+    8778, 7235, 7599, 8123, 6501, 7452, 8397, 9092, 10036, 10534,
+    8858, 9205, 9225, 10023, 10045,
+};
+constexpr std::uint64_t kScoreboardBbrCwnd[] = {
+    87600, 29200, 30660, 52560, 54020, 58400, 81760, 100740, 78821, 80281,
+    91961, 115321, 132841, 147441, 148901, 151821, 151821, 151821, 151821, 153262,
+    230642, 121161, 128461, 129921, 131381, 173721, 173721, 181021, 182481, 182481,
+    182481, 183922, 334302, 405842, 455482, 462782, 513882, 515342, 516802, 64240,
+    64240, 71540, 71540, 72962, 72962, 110922, 74460, 75920, 77380, 118260,
+    143080, 150380, 151840, 163520, 43781, 46701, 48161, 49621, 49621, 51081,
+    52522, 103622, 105082, 153262, 94881, 99261, 100721, 140141, 143061, 145981,
+    145981, 145981, 147422,
+};
+
+TEST(TcpScoreboard, LongHistoryMatchesMapReference) {
+  TcpConfig bbr = tuned_config();
+  bbr.congestion_control = cc::CcKind::kBbr;
+  const std::vector<std::pair<TcpConfig, std::vector<std::uint64_t>>> cases = {
+      {stock_config(), {std::begin(kScoreboardCubicCwnd), std::end(kScoreboardCubicCwnd)}},
+      {bbr, {std::begin(kScoreboardBbrCwnd), std::end(kScoreboardBbrCwnd)}},
+  };
+  for (const auto& [config, reference_cwnd] : cases) {
+    const ScoreboardRun run = run_scoreboard_history(config);
+    // The history covers what the scoreboard has to get right.
+    EXPECT_GE(run.stats.retransmissions, 20u);
+    EXPECT_GE(run.stats.tail_probes, 2u);
+    EXPECT_GE(run.stats.timeouts, 1u);
+    EXPECT_GE(run.stats.spurious_timeouts, 1u);
+    EXPECT_GE(run.reference.spurious.size(), 3u);
+    EXPECT_EQ(run.reference.unarmed_timer_fires, 0u);
+
+    EXPECT_EQ(run.pipe_after_ack, run.reference_pipe_after_ack);
+    EXPECT_EQ(run.bytes_in_flight, run.reference_bytes_in_flight);
+    EXPECT_EQ(run.lost, run.reference.lost);
+    EXPECT_EQ(run.spurious, run.reference.spurious);
+    EXPECT_EQ(run.retransmitted, run.reference.retransmitted);
+    EXPECT_EQ(run.cwnd_after_ack, reference_cwnd);
+  }
 }
 
 }  // namespace

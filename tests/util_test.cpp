@@ -4,10 +4,12 @@
 
 #include <array>
 #include <cmath>
+#include <deque>
 #include <memory>
 #include <sstream>
 #include <vector>
 
+#include "util/arena.hpp"
 #include "util/function.hpp"
 #include "util/ring_buffer.hpp"
 #include "util/rng.hpp"
@@ -259,6 +261,46 @@ TEST(RingBuffer, ClearEmptiesAndStaysUsable) {
   buffer.push_back(std::make_unique<int>(3));
   EXPECT_EQ(*buffer.front(), 3);
   EXPECT_EQ(*buffer.pop_front(), 3);
+}
+
+TEST(ArenaRing, IndexesFromTheFrontAcrossWrapAndGrowth) {
+  // Interleaved appends and front pops wrap the slab repeatedly and force
+  // growth while wrapped; a std::deque is the reference.
+  Arena arena;
+  ArenaRing<int> ring;
+  std::deque<int> reference;
+  int next = 0;
+  for (int round = 0; round < 60; ++round) {
+    for (int i = 0; i < 5 + round % 7; ++i) {
+      EXPECT_EQ(ring.push_back(arena, next), next);
+      reference.push_back(next++);
+    }
+    for (int i = 0; i < 4 && !reference.empty(); ++i) {
+      ring.pop_front();
+      reference.pop_front();
+    }
+    ASSERT_EQ(ring.size(), reference.size());
+    for (std::uint32_t i = 0; i < ring.size(); ++i) ASSERT_EQ(ring[i], reference[i]);
+    ASSERT_EQ(ring.front(), reference.front());
+    ASSERT_EQ(ring.back(), reference.back());
+  }
+}
+
+TEST(ArenaVec, InsertAndEraseShiftTheTail) {
+  Arena arena;
+  ArenaVec<int> vec;
+  std::vector<int> reference;
+  for (int i = 0; i < 40; ++i) {
+    const auto pos = static_cast<std::uint32_t>((i * 7) % (reference.size() + 1));
+    EXPECT_EQ(vec.insert(arena, pos, i), i);
+    reference.insert(reference.begin() + pos, i);
+    if (i % 3 == 2) {
+      const auto gone = static_cast<std::uint32_t>((i * 5) % reference.size());
+      vec.erase(gone);
+      reference.erase(reference.begin() + gone);
+    }
+    ASSERT_EQ(std::vector<int>(vec.begin(), vec.end()), reference);
+  }
 }
 
 }  // namespace
