@@ -6,76 +6,61 @@
 
 namespace qperc::cc {
 
-void BandwidthSampler::on_packet_sent(std::uint64_t packet_id, std::uint64_t bytes,
-                                      SimTime now, std::uint64_t bytes_in_flight) {
+SendSnapshot BandwidthSampler::on_packet_sent(std::uint64_t bytes, SimTime now,
+                                              std::uint64_t bytes_in_flight) {
   if (bytes_in_flight == 0) {
     // Restarting from idle: the delivery clock must not count the idle gap.
     delivered_time_ = now;
-    first_sent_time_ = now;
   }
-  QPERC_DCHECK(!in_flight_.contains(packet_id))
-      << "packet ids must be unique per transmission";
-  in_flight_[packet_id] = SendState{
-      .sent_time = now,
+  in_flight_bytes_ += bytes;
+  return SendSnapshot{
       .delivered_at_send = delivered_bytes_,
       .delivered_time_at_send = delivered_time_,
-      .bytes = bytes,
       .app_limited = app_limited_until_delivered_ > delivered_bytes_,
   };
-  in_flight_bytes_ += bytes;
 }
 
-bool BandwidthSampler::ack_bookkeeping(std::uint64_t packet_id, SimTime now,
-                                       SendState& state) {
-  const auto it = in_flight_.find(packet_id);
-  if (it == in_flight_.end()) return false;
-  state = it->second;
-  in_flight_.erase(it);
-  QPERC_DCHECK_GE(in_flight_bytes_, state.bytes);
-  in_flight_bytes_ -= state.bytes;
-
-  delivered_bytes_ += state.bytes;
+void BandwidthSampler::ack_bookkeeping(std::uint64_t bytes, SimTime now) {
+  QPERC_DCHECK_GE(in_flight_bytes_, bytes);
+  in_flight_bytes_ -= bytes;
+  delivered_bytes_ += bytes;
   QPERC_DCHECK_GE(now, delivered_time_) << "delivery clock must be monotone";
   delivered_time_ = now;
-  return true;
 }
 
-std::optional<RateSample> BandwidthSampler::on_packet_acked(std::uint64_t packet_id,
-                                                            SimTime now) {
-  SendState state;
-  if (!ack_bookkeeping(packet_id, now, state)) return std::nullopt;
+std::optional<RateSample> BandwidthSampler::on_packet_acked(const SendSnapshot& sent,
+                                                            SimTime sent_time,
+                                                            std::uint64_t bytes, SimTime now) {
+  ack_bookkeeping(bytes, now);
 
   // Rate over the ACK interval, guarded against division by ~zero: use the
   // longer of the ack elapsed and the send elapsed intervals (standard
   // delivery-rate estimation uses the max of both to be conservative).
-  const SimDuration ack_elapsed = now - state.delivered_time_at_send;
-  const SimDuration send_elapsed = state.sent_time - state.delivered_time_at_send;
+  const SimDuration ack_elapsed = now - sent.delivered_time_at_send;
+  const SimDuration send_elapsed = sent_time - sent.delivered_time_at_send;
   const SimDuration interval = std::max(ack_elapsed, send_elapsed);
   if (interval <= SimDuration::zero()) return std::nullopt;
-  const std::uint64_t delivered_in_interval = delivered_bytes_ - state.delivered_at_send;
+  const std::uint64_t delivered_in_interval = delivered_bytes_ - sent.delivered_at_send;
   return RateSample{
       .delivery_rate = DataRate::from_bytes_and_duration(delivered_in_interval, interval),
-      .is_app_limited = state.app_limited,
+      .is_app_limited = sent.app_limited,
   };
 }
 
-bool BandwidthSampler::on_packet_acked_no_sample(std::uint64_t packet_id, SimTime now) {
-  SendState state;
-  if (!ack_bookkeeping(packet_id, now, state)) return false;
+bool BandwidthSampler::on_packet_acked_no_sample(const SendSnapshot& sent, SimTime sent_time,
+                                                 std::uint64_t bytes, SimTime now) {
+  ack_bookkeeping(bytes, now);
   // Mirror on_packet_acked's sample condition without the division: callers
   // branch on "a sample existed" (it gates the controller's on_ack), so the
   // two entry points must agree exactly.
-  const SimDuration ack_elapsed = now - state.delivered_time_at_send;
-  const SimDuration send_elapsed = state.sent_time - state.delivered_time_at_send;
+  const SimDuration ack_elapsed = now - sent.delivered_time_at_send;
+  const SimDuration send_elapsed = sent_time - sent.delivered_time_at_send;
   return std::max(ack_elapsed, send_elapsed) > SimDuration::zero();
 }
 
-void BandwidthSampler::on_packet_lost(std::uint64_t packet_id) {
-  const auto it = in_flight_.find(packet_id);
-  if (it == in_flight_.end()) return;
-  QPERC_DCHECK_GE(in_flight_bytes_, it->second.bytes);
-  in_flight_bytes_ -= it->second.bytes;
-  in_flight_.erase(it);
+void BandwidthSampler::on_packet_lost(std::uint64_t bytes) {
+  QPERC_DCHECK_GE(in_flight_bytes_, bytes);
+  in_flight_bytes_ -= bytes;
 }
 
 void BandwidthSampler::on_app_limited() {

@@ -72,7 +72,6 @@ QuicSendSide::QuicSendSide(sim::Simulator& simulator, const QuicConfig& config, 
                              .initial_quantum_segments = 10,
                              .refill_quantum_segments = 2,
                              .segment_bytes = config.max_payload_bytes}),
-      sampler_(simulator.arena()),
       streams_(simulator.arena()),
       retransmit_queue_(ArenaAllocator<StreamFrame>(simulator.arena())),
       unacked_(simulator.arena()),
@@ -273,7 +272,7 @@ void QuicSendSide::transmit(ArenaVec<StreamFrame> frames, bool is_retransmission
   QPERC_DCHECK(unacked_.empty() || pn > unacked_.back_key())
       << "packet number space not monotone";
   QPERC_DCHECK_GT(pn, largest_acked_);
-  sampler_.on_packet_sent(pn, stream_bytes, now, bytes_in_flight_);
+  const cc::SendSnapshot sample = sampler_.on_packet_sent(stream_bytes, now, bytes_in_flight_);
   cc_->on_packet_sent(now, bytes_in_flight_, payload);
   pacer_.on_packet_sent(now, payload + kQuicOverheadBytes + kUdpIpOverheadBytes);
   bytes_in_flight_ += payload;
@@ -293,7 +292,8 @@ void QuicSendSide::transmit(ArenaVec<StreamFrame> frames, bool is_retransmission
   packet.ack_eliciting = true;
   // The retransmission record views the same arena-owned frame buffer the
   // wire packet carries; no copy, and the view survives the packet.
-  unacked_[pn] = UnackedPacket{now, payload, stream_bytes, frames.data(), frames.size()};
+  unacked_[pn] =
+      UnackedPacket{now, payload, stream_bytes, frames.data(), frames.size(), sample};
   packet.frames = std::move(frames);
 
   emit_(std::move(packet));
@@ -368,8 +368,10 @@ void QuicSendSide::on_ack_frame(const QuicPacket& packet) {
       if (!cc_wants_rate_) {
         // Loss-based controller: same bookkeeping and same have_rate gate,
         // minus the rate arithmetic nobody reads.
-        have_rate |= sampler_.on_packet_acked_no_sample(pn, now);
-      } else if (const auto sample = sampler_.on_packet_acked(pn, now)) {
+        have_rate |=
+            sampler_.on_packet_acked_no_sample(up.sample, up.sent_time, up.stream_bytes, now);
+      } else if (const auto sample =
+                     sampler_.on_packet_acked(up.sample, up.sent_time, up.stream_bytes, now)) {
         if (!have_rate || sample->delivery_rate > best_rate.delivery_rate) {
           best_rate = *sample;
         }
@@ -472,7 +474,7 @@ void QuicSendSide::detect_losses(SimTime now) {
     if (threshold_lost || time_lost) {
       QPERC_DCHECK_GE(bytes_in_flight_, up.payload_bytes);
       bytes_in_flight_ -= up.payload_bytes;
-      sampler_.on_packet_lost(pn);
+      sampler_.on_packet_lost(up.stream_bytes);
       bytes_lost_since_ack_ += up.stream_bytes;
       requeue_lost(up);
       largest_lost = pn;
@@ -539,7 +541,7 @@ void QuicSendSide::on_timer() {
     UnackedPacket up = std::move(it->second);
     QPERC_DCHECK_GE(bytes_in_flight_, up.payload_bytes);
     bytes_in_flight_ -= up.payload_bytes;
-    sampler_.on_packet_lost(it->first);
+    sampler_.on_packet_lost(up.stream_bytes);
     bytes_lost_since_ack_ += up.stream_bytes;
     pto_lost_pns_.insert(it->first);
     if (simulator_.trace() != nullptr) {

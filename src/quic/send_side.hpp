@@ -86,6 +86,8 @@ class QuicSendSide {
     /// map erases and outlives the wire packet itself.
     const StreamFrame* frames = nullptr;
     std::uint32_t frame_count = 0;
+    /// The sampler's send-time snapshot; its bytes are `stream_bytes`.
+    cc::SendSnapshot sample;
   };
 
   /// A stream the scheduling scan could pick: unsent data, or an unsent FIN.

@@ -24,7 +24,6 @@ TcpSender::TcpSender(sim::Simulator& simulator, const TcpConfig& config,
                              .initial_quantum_segments = 10,
                              .refill_quantum_segments = 2,
                              .segment_bytes = static_cast<std::uint32_t>(config.mss)}),
-      sampler_(simulator.arena()),
       send_buffer_bytes_(send_buffer_bytes),
       retx_timer_(simulator, [this] { on_retransmission_timer(); }),
       send_timer_(simulator, [this] { maybe_send(); }) {
@@ -63,19 +62,34 @@ void TcpSender::restart_from_idle_if_needed() {
   pacer_.on_restart_from_idle(simulator_.now());
 }
 
-TcpSender::SegmentRecord* TcpSender::next_lost_segment() {
+std::uint32_t TcpSender::next_lost_segment() {
   QPERC_DCHECK_EQ(lost_count_, count_lost_segments()) << "lost-segment count drifted";
-  if (lost_count_ == 0) return nullptr;
-  for (std::uint32_t i = 0; i < segments_.size(); ++i) {
-    SegmentRecord& record = segments_[i];
-    if (record.lost && !record.sacked) return &record;
+  if (lost_count_ == 0) return kNone;
+  std::uint32_t i = lost_hint_index();
+  for (; i < segments_.size(); ++i) {
+    if (segments_[i].lost && !segments_[i].sacked) break;
   }
-  return nullptr;
+  QPERC_DCHECK_EQ(i, first_lost_by_scan()) << "lowest-lost hint skipped a lost segment";
+  if (i == segments_.size()) return kNone;
+  lost_hint_ = front_serial_ + i;
+  return i;
 }
 
 std::uint32_t TcpSender::first_segment_at(std::uint64_t seq) const {
+  // No record is longer than an MSS, so none below `lo` starts at or after
+  // `seq`; when the records are full-sized, `lo` is the answer. Gallop up
+  // from it to bracket the answer in [lo, hi], then bisect.
+  const std::uint32_t size = segments_.size();
   std::uint32_t lo = 0;
-  std::uint32_t hi = segments_.size();
+  if (size != 0 && seq > segments_[0].start) {
+    lo = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(size, (seq - segments_[0].start + config_.mss - 1) / config_.mss));
+  }
+  std::uint32_t hi = lo;
+  for (std::uint32_t step = 1; hi < size && segments_[hi].start < seq; step *= 2) {
+    lo = hi + 1;
+    hi = std::min(size, lo + step);
+  }
   while (lo < hi) {
     const std::uint32_t mid = lo + (hi - lo) / 2;
     if (segments_[mid].start < seq) {
@@ -87,12 +101,98 @@ std::uint32_t TcpSender::first_segment_at(std::uint64_t seq) const {
   return lo;
 }
 
+std::uint32_t TcpSender::first_segment_past(std::uint64_t seq) const {
+  // Records are contiguous: at most the one before the first record starting
+  // at or after `seq` can straddle it.
+  const std::uint32_t i = first_segment_at(seq);
+  return i > 0 && segments_[i - 1].end > seq ? i - 1 : i;
+}
+
+const SackBlock* TcpSender::cached_sack_holding(std::uint64_t start, std::uint64_t end) const {
+  for (std::uint32_t b = 0; b < sack_cache_count_; ++b) {
+    const SackBlock& cached = sack_cache_[b];
+    if (cached.start <= start && end <= cached.end) return &cached;
+  }
+  return nullptr;
+}
+
 std::uint32_t TcpSender::count_lost_segments() const {
   std::uint32_t lost = 0;
   for (std::uint32_t i = 0; i < segments_.size(); ++i) {
     lost += segments_[i].lost && !segments_[i].sacked ? 1 : 0;
   }
   return lost;
+}
+
+std::uint32_t TcpSender::first_lost_by_scan() const {
+  std::uint32_t i = 0;
+  while (i < segments_.size() && !(segments_[i].lost && !segments_[i].sacked)) ++i;
+  return i;
+}
+
+bool TcpSender::rack_list_matches_scan() const {
+  std::uint32_t listed = 0;
+  std::uint32_t prev = kNone;
+  for (std::uint32_t serial = rack_head_; serial != kNone;) {
+    const std::uint32_t index = serial - front_serial_;
+    if (index >= segments_.size()) return false;
+    const SegmentRecord& record = segments_[index];
+    if (!rack_candidate(record) || record.rack_prev != prev) return false;
+    if (prev != kNone && segments_[prev - front_serial_].last_sent > record.last_sent) {
+      return false;
+    }
+    if (++listed > segments_.size()) return false;  // a cycle
+    prev = serial;
+    serial = record.rack_next;
+  }
+  if (prev != rack_tail_) return false;
+  std::uint32_t candidates = 0;
+  for (std::uint32_t i = 0; i < segments_.size(); ++i) {
+    candidates += rack_candidate(segments_[i]) ? 1 : 0;
+  }
+  return listed == candidates;
+}
+
+bool TcpSender::sack_cache_holds() const {
+  for (std::uint32_t i = 0; i < segments_.size(); ++i) {
+    const SegmentRecord& record = segments_[i];
+    if (!record.sacked && cached_sack_holding(record.start, record.end) != nullptr) return false;
+  }
+  return true;
+}
+
+void TcpSender::rack_unlink(std::uint32_t serial) {
+  const SegmentRecord& record = at_serial(serial);
+  if (record.rack_prev == kNone) {
+    rack_head_ = record.rack_next;
+  } else {
+    at_serial(record.rack_prev).rack_next = record.rack_next;
+  }
+  if (record.rack_next == kNone) {
+    rack_tail_ = record.rack_prev;
+  } else {
+    at_serial(record.rack_next).rack_prev = record.rack_prev;
+  }
+}
+
+void TcpSender::rack_insert(std::uint32_t serial) {
+  SegmentRecord& record = at_serial(serial);
+  std::uint32_t after = rack_tail_;
+  while (after != kNone && at_serial(after).last_sent > record.last_sent) {
+    after = at_serial(after).rack_prev;
+  }
+  record.rack_prev = after;
+  record.rack_next = after == kNone ? rack_head_ : at_serial(after).rack_next;
+  if (record.rack_next == kNone) {
+    rack_tail_ = serial;
+  } else {
+    at_serial(record.rack_next).rack_prev = serial;
+  }
+  if (after == kNone) {
+    rack_head_ = serial;
+  } else {
+    at_serial(after).rack_next = serial;
+  }
 }
 
 void TcpSender::maybe_send() {
@@ -104,11 +204,11 @@ void TcpSender::maybe_send() {
     QPERC_DCHECK_GE(cwnd, config_.mss) << "congestion window collapsed below 1 MSS";
     if (outstanding_bytes_ >= cwnd) return;  // window full; ACK clock will resume
 
-    SegmentRecord* candidate = next_lost_segment();
-    const bool is_retransmission = candidate != nullptr;
+    std::uint32_t index = next_lost_segment();
+    const bool is_retransmission = index != kNone;
     std::uint64_t len = 0;
     if (is_retransmission) {
-      len = candidate->end - candidate->start;
+      len = segments_[index].end - segments_[index].start;
     } else {
       if (next_seq_ >= app_bytes_total_) {
         // Nothing more to send although the window has room: app-limited.
@@ -129,23 +229,26 @@ void TcpSender::maybe_send() {
     }
     if (!is_retransmission) {
       // New data is packetized only once the pacer releases it.
-      candidate = &segments_.push_back(
-          simulator_.arena(), SegmentRecord{.start = next_seq_, .end = next_seq_ + len});
+      segments_.push_back(simulator_.arena(),
+                          SegmentRecord{.start = next_seq_, .end = next_seq_ + len, .sample = {}});
+      index = segments_.size() - 1;
       next_seq_ += len;
     }
-    transmit(*candidate, is_retransmission);
+    transmit(index, is_retransmission);
   }
 }
 
-void TcpSender::transmit(SegmentRecord& record, bool is_retransmission) {
+void TcpSender::transmit(std::uint32_t index, bool is_retransmission) {
   const SimTime now = simulator_.now();
+  SegmentRecord& record = segments_[index];
+  const std::uint32_t serial = front_serial_ + index;
   QPERC_DCHECK_LT(record.start, record.end) << "empty TCP segment packetized";
   QPERC_DCHECK_GE(now, last_send_time_) << "send timestamps must be monotone";
   const auto len = record.end - record.start;
 
+  if (rack_candidate(record)) rack_unlink(serial);  // a probe re-sends it
   record.transmissions += 1;
   record.last_sent = now;
-  record.packet_id = next_packet_id_++;
   if (record.lost && !record.sacked) --lost_count_;
   record.lost = false;
   record.lost_by_rto = false;
@@ -153,8 +256,12 @@ void TcpSender::transmit(SegmentRecord& record, bool is_retransmission) {
     record.outstanding = true;
     outstanding_bytes_ += len;
   }
+  rack_insert(serial);
 
-  sampler_.on_packet_sent(record.packet_id, len, now, outstanding_bytes_ - len);
+  // A probe overwrites a live snapshot, whose bytes then stay in the
+  // sampler's in-flight sum (see on_retransmission_timer).
+  record.sample = sampler_.on_packet_sent(len, now, outstanding_bytes_ - len);
+  record.sample_live = true;
   cc_->on_packet_sent(now, outstanding_bytes_ - len, len);
   const std::uint32_t wire = static_cast<std::uint32_t>(len) + kTcpHeaderBytes;
   pacer_.on_packet_sent(now, wire);
@@ -181,10 +288,7 @@ void TcpSender::transmit(SegmentRecord& record, bool is_retransmission) {
 
 void TcpSender::mark_delivered(SegmentRecord& record, SimTime now,
                                std::uint64_t& newly_delivered, SimDuration& rtt_sample,
-                               SimTime& newest_delivered_sent_time,
-                               std::uint64_t& newest_delivered_packet_id) {
-  if (record.delivered_counted) return;
-  record.delivered_counted = true;
+                               SimTime& newest_delivered_sent_time) {
   const auto len = record.end - record.start;
   if (record.lost && simulator_.trace() != nullptr) {
     // Declared lost but the original transmission was delivered after all.
@@ -209,10 +313,7 @@ void TcpSender::mark_delivered(SegmentRecord& record, SimTime now,
     // the same instant, and RttEstimator requires strictly positive samples.
     rtt_sample = std::max({rtt_sample, now - record.last_sent, SimDuration{1}});
   }
-  if (record.last_sent > newest_delivered_sent_time) {
-    newest_delivered_sent_time = record.last_sent;
-    newest_delivered_packet_id = record.packet_id;
-  }
+  newest_delivered_sent_time = std::max(newest_delivered_sent_time, record.last_sent);
 }
 
 void TcpSender::on_ack_received(const TcpSegment& segment) {
@@ -235,18 +336,24 @@ void TcpSender::on_ack_received(const TcpSegment& segment) {
   std::uint64_t newly_delivered = 0;
   SimDuration rtt_sample{0};
   SimTime newest_sent_time{0};
-  std::uint64_t newest_packet_id = 0;
 
   // Rate samples: keep the fastest sample in this ACK (BBR's max filter
-  // consumes it; taking the max here loses nothing).
+  // consumes it; taking the max here loses nothing). A record yields one
+  // only while its latest transmission's snapshot is live: not after a
+  // loss declaration or an earlier sample.
   cc::RateSample best_rate_sample{};
   bool have_rate_sample = false;
-  const auto consider_rate_sample = [&](std::uint64_t packet_id) {
+  const auto consider_rate_sample = [&](SegmentRecord& record) {
+    if (!record.sample_live) return;
+    record.sample_live = false;
+    const auto len = record.end - record.start;
     if (!cc_wants_rate_) {
       // Loss-based controller: same bookkeeping and same have_rate gate,
       // minus the rate arithmetic nobody reads.
-      have_rate_sample |= sampler_.on_packet_acked_no_sample(packet_id, now);
-    } else if (const auto sample = sampler_.on_packet_acked(packet_id, now)) {
+      have_rate_sample |=
+          sampler_.on_packet_acked_no_sample(record.sample, record.last_sent, len, now);
+    } else if (const auto sample =
+                   sampler_.on_packet_acked(record.sample, record.last_sent, len, now)) {
       if (!have_rate_sample ||
           sample->delivery_rate > best_rate_sample.delivery_rate) {
         best_rate_sample = *sample;
@@ -255,35 +362,64 @@ void TcpSender::on_ack_received(const TcpSegment& segment) {
     }
   };
 
-  // Cumulative acknowledgment.
+  // Cumulative acknowledgment. A sacked record was delivered when it was
+  // sacked.
   const bool cum_advanced = segment.cumulative_ack > highest_cum_ack_;
   if (cum_advanced) {
     while (!segments_.empty() && segments_.front().end <= segment.cumulative_ack) {
       SegmentRecord& record = segments_.front();
-      mark_delivered(record, now, newly_delivered, rtt_sample, newest_sent_time,
-                     newest_packet_id);
-      consider_rate_sample(record.packet_id);
-      if (record.lost && !record.sacked) --lost_count_;
+      if (!record.sacked) {
+        if (rack_candidate(record)) rack_unlink(front_serial_);
+        if (record.lost) --lost_count_;
+        mark_delivered(record, now, newly_delivered, rtt_sample, newest_sent_time);
+        consider_rate_sample(record);
+      }
       segments_.pop_front();
+      ++front_serial_;
     }
     highest_cum_ack_ = segment.cumulative_ack;
   }
 
-  // Selective acknowledgments.
+  // Selective acknowledgments: blocks in wire order, records ascending within
+  // a block. Records wholly inside one of the previous ACK's blocks are
+  // already sacked, so the walk starts past the cached block holding the
+  // block's start, if any, and jumps past every other cached block it meets:
+  // it visits what this ACK newly reports (plus records the edges cut).
   for (const auto& block : segment.sacks()) {
     QPERC_DCHECK_LT(block.start, block.end) << "empty SACK block";
     QPERC_DCHECK_LE(block.end, next_seq_) << "SACK block beyond SND.NXT";
-    for (std::uint32_t i = first_segment_at(block.start);
-         i < segments_.size() && segments_[i].end <= block.end; ++i) {
+    std::uint32_t i = 0;
+    if (const SackBlock* head = cached_sack_holding(block.start, block.start + 1)) {
+      if (block.end <= head->end) continue;  // re-reported: nothing new
+      // The first record past the cached block may straddle it and start
+      // before this block.
+      i = first_segment_past(head->end);
+      if (i < segments_.size() && segments_[i].start < block.start) ++i;
+    } else {
+      i = first_segment_at(block.start);
+    }
+    while (i < segments_.size() && segments_[i].end <= block.end) {
       SegmentRecord& record = segments_[i];
-      if (record.sacked) continue;
-      record.sacked = true;
-      if (record.lost) --lost_count_;
-      mark_delivered(record, now, newly_delivered, rtt_sample, newest_sent_time,
-                     newest_packet_id);
-      consider_rate_sample(record.packet_id);
+      if (const SackBlock* cached = cached_sack_holding(record.start, record.end)) {
+        i = first_segment_past(cached->end);
+        continue;
+      }
+      ++sack_records_walked_;
+      if (!record.sacked) {
+        if (rack_candidate(record)) rack_unlink(front_serial_ + i);
+        record.sacked = true;
+        if (record.lost) --lost_count_;
+        mark_delivered(record, now, newly_delivered, rtt_sample, newest_sent_time);
+        consider_rate_sample(record);
+      }
+      ++i;
     }
   }
+  sack_cache_count_ = 0;
+  for (const auto& block : segment.sacks()) {
+    sack_cache_[sack_cache_count_++] = {block.start, std::min(block.end, next_seq_)};
+  }
+  QPERC_DCHECK(sack_cache_holds()) << "a record inside a cached SACK block is not sacked";
 
   if (rtt_sample > SimDuration::zero()) rtt_.on_rtt_sample(rtt_sample);
   if (newest_sent_time > rack_newest_sent_time_) rack_newest_sent_time_ = newest_sent_time;
@@ -351,6 +487,8 @@ void TcpSender::undo_spurious_rto() {
       record.outstanding = true;
       outstanding_bytes_ += record.end - record.start;
     }
+    // Sent before the RTO, so behind everything transmitted since.
+    rack_insert(front_serial_ + i);
   }
   rto_backoff_ = 0;
   ++stats_.spurious_timeouts;
@@ -358,34 +496,75 @@ void TcpSender::undo_spurious_rto() {
   pacer_.set_rate(simulator_.now(), cc_->pacing_rate(rtt_.smoothed_rtt()));
 }
 
+void TcpSender::mark_lost(SegmentRecord& record, bool by_rto) {
+  const auto len = record.end - record.start;
+  record.lost = true;
+  record.lost_by_rto = by_rto;
+  ++lost_count_;
+  if (record.outstanding) {
+    record.outstanding = false;
+    QPERC_DCHECK_GE(outstanding_bytes_, len);
+    outstanding_bytes_ -= len;
+  }
+  if (record.sample_live) {
+    record.sample_live = false;
+    sampler_.on_packet_lost(len);
+  }
+  bytes_lost_since_ack_ += len;
+  if (simulator_.trace() != nullptr) {
+    simulator_.trace_event(trace::EventType::kPacketLost, trace_endpoint_, trace_flow_,
+                           record.start, len, /*value=*/by_rto ? 1 : 0);
+  }
+}
+
 void TcpSender::detect_losses(SimTime newest_delivered_sent_time) {
+  QPERC_DCHECK(rack_list_matches_scan()) << "RACK list drifted from the scoreboard";
   if (newest_delivered_sent_time == SimTime{0}) return;
   // RACK: a segment sent sufficiently before the newest delivered segment is
   // deemed lost. Reordering window: a quarter of the minimum RTT.
   const SimDuration reorder_window =
       rtt_.has_sample() ? std::max<SimDuration>(rtt_.min_rtt() / 4, milliseconds(1))
                         : SimDuration{milliseconds(5)};
-  bool any_lost = false;
-  for (std::uint32_t i = 0; i < segments_.size(); ++i) {
-    SegmentRecord& record = segments_[i];
-    if (record.sacked || record.lost || !record.outstanding) continue;
-    if (record.last_sent + reorder_window < newest_delivered_sent_time) {
-      record.lost = true;
-      record.lost_by_rto = false;
-      ++lost_count_;
-      record.outstanding = false;
-      QPERC_DCHECK_GE(outstanding_bytes_, record.end - record.start);
-      outstanding_bytes_ -= record.end - record.start;
-      sampler_.on_packet_lost(record.packet_id);
-      bytes_lost_since_ack_ += record.end - record.start;
-      any_lost = true;
-      if (simulator_.trace() != nullptr) {
-        simulator_.trace_event(trace::EventType::kPacketLost, trace_endpoint_, trace_flow_,
-                               record.start, record.end - record.start, /*value=*/0);
-      }
+  const auto expired = [&](const SegmentRecord& record) {
+    return record.last_sent + reorder_window < newest_delivered_sent_time;
+  };
+  // The list is in send order, so the expired candidates are its head run.
+  // Note their index span and whether the run is also in sequence order.
+  const std::uint32_t first = rack_head_;
+  std::uint32_t stop = first;
+  std::uint32_t lo = kNone;
+  std::uint32_t hi = 0;
+  bool in_sequence_order = true;
+  while (stop != kNone && expired(at_serial(stop))) {
+    const std::uint32_t index = stop - front_serial_;
+    in_sequence_order = in_sequence_order && (lo == kNone || index > hi);
+    lo = std::min(lo, index);
+    hi = std::max(hi, index);
+    stop = at_serial(stop).rack_next;
+  }
+  if (lo == kNone) return;
+  rack_head_ = stop;
+  if (stop == kNone) {
+    rack_tail_ = kNone;
+  } else {
+    at_serial(stop).rack_prev = kNone;
+  }
+  // Mark them in sequence order, as a scan of the scoreboard would: when
+  // retransmissions put the run out of order, rescan its index span.
+  if (in_sequence_order) {
+    for (std::uint32_t serial = first; serial != stop;) {
+      SegmentRecord& record = at_serial(serial);
+      serial = record.rack_next;
+      mark_lost(record, /*by_rto=*/false);
+    }
+  } else {
+    for (std::uint32_t i = lo; i <= hi; ++i) {
+      SegmentRecord& record = segments_[i];
+      if (rack_candidate(record) && expired(record)) mark_lost(record, /*by_rto=*/false);
     }
   }
-  if (any_lost) enter_recovery_if_needed();
+  if (lo < lost_hint_index()) lost_hint_ = front_serial_ + lo;
+  enter_recovery_if_needed();
 }
 
 void TcpSender::enter_recovery_if_needed() {
@@ -429,26 +608,24 @@ void TcpSender::on_retransmission_timer() {
     tlp_fired_this_episode_ = true;
     ++stats_.tail_probes;
     simulator_.trace_event(trace::EventType::kTlpFired, trace_endpoint_, trace_flow_);
-    SegmentRecord* tail = nullptr;
-    for (std::uint32_t i = segments_.size(); i-- > 0;) {
-      if (segments_[i].outstanding && !segments_[i].sacked) {
-        tail = &segments_[i];
-        break;
-      }
+    std::uint32_t tail = segments_.size();
+    while (tail > 0 && !(segments_[tail - 1].outstanding && !segments_[tail - 1].sacked)) {
+      --tail;
     }
-    if (tail != nullptr) {
-      // Known leak: the probe gives the record a new packet_id, and the
-      // sampler entry of the old one is never acked or lost, so it stays
-      // counted in flight for the rest of the connection (fixing it shifts
-      // BBR results).
-      transmit(*tail, true);
+    if (tail > 0) {
+      // Known leak: the probe re-sends a record whose rate-sample snapshot is
+      // live, and transmit overwrites it without releasing its bytes, so they
+      // stay counted in the sampler's in-flight sum for the rest of the
+      // connection (fixing it shifts BBR results).
+      transmit(tail - 1, true);
     } else {
       rearm_retransmission_timer();
     }
     return;
   }
 
-  // Full RTO: collapse the pipe, mark everything unacked as lost.
+  // Full RTO: collapse the pipe, mark everything unacked as lost. That
+  // empties the RACK list.
   ++stats_.timeouts;
   rto_backoff_ = std::min(rto_backoff_ + 1, 10u);
   simulator_.trace_event(trace::EventType::kRtoFired, trace_endpoint_, trace_flow_,
@@ -456,21 +633,11 @@ void TcpSender::on_retransmission_timer() {
   for (std::uint32_t i = 0; i < segments_.size(); ++i) {
     SegmentRecord& record = segments_[i];
     if (record.sacked || record.lost) continue;
-    record.lost = true;
-    record.lost_by_rto = true;
-    ++lost_count_;
-    if (record.outstanding) {
-      record.outstanding = false;
-      QPERC_DCHECK_GE(outstanding_bytes_, record.end - record.start);
-      outstanding_bytes_ -= record.end - record.start;
-    }
-    sampler_.on_packet_lost(record.packet_id);
-    bytes_lost_since_ack_ += record.end - record.start;
-    if (simulator_.trace() != nullptr) {
-      simulator_.trace_event(trace::EventType::kPacketLost, trace_endpoint_, trace_flow_,
-                             record.start, record.end - record.start, /*value=*/1);
-    }
+    mark_lost(record, /*by_rto=*/true);
   }
+  rack_head_ = kNone;
+  rack_tail_ = kNone;
+  lost_hint_ = front_serial_;
   recovery_point_ = next_seq_;
   cc_->on_retransmission_timeout();
   pacer_.set_rate(simulator_.now(), cc_->pacing_rate(rtt_.smoothed_rtt()));

@@ -67,32 +67,78 @@ class TcpSender {
     trace_endpoint_ = endpoint;
   }
 
+  /// For tests: the delivery-rate sampler, and how many records the SACK
+  /// walk has examined (blocks the previous ACK already reported are
+  /// skipped, so re-reporting one costs nothing).
+  [[nodiscard]] const cc::BandwidthSampler& sampler() const noexcept { return sampler_; }
+  [[nodiscard]] std::uint64_t sack_records_walked() const noexcept {
+    return sack_records_walked_;
+  }
+
  private:
+  /// Ends of the RACK list, and "no record" for the index-returning lookups.
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
   struct SegmentRecord {
     std::uint64_t start = 0;
     std::uint64_t end = 0;
-    std::uint32_t transmissions = 0;
     SimTime last_sent{0};
-    std::uint64_t packet_id = 0;  // latest transmission, for rate sampling
+    /// The sampler's snapshot of the latest transmission, held while
+    /// `sample_live`: until that transmission is acked or declared lost.
+    cc::SendSnapshot sample;
+    std::uint32_t transmissions = 0;
+    /// RACK list links, as serials (see front_serial_); kNone at the ends.
+    std::uint32_t rack_prev = kNone;
+    std::uint32_t rack_next = kNone;
     bool sacked = false;
     bool lost = false;         // detected lost, awaiting retransmission
     bool lost_by_rto = false;  // `lost` came from an RTO, not RACK/SACK
     bool outstanding = false;  // counted in the pipe
-    bool delivered_counted = false;
+    bool sample_live = false;
   };
 
+  /// The records the RACK list holds: sent, unacknowledged and not lost.
+  [[nodiscard]] static bool rack_candidate(const SegmentRecord& record) noexcept {
+    return record.outstanding && !record.sacked && !record.lost;
+  }
+  [[nodiscard]] SegmentRecord& at_serial(std::uint32_t serial) noexcept {
+    return segments_[serial - front_serial_];
+  }
+  /// Ring index of lost_hint_; 0 once the cumulative ACK has popped past it
+  /// (the difference then wraps to a huge value).
+  [[nodiscard]] std::uint32_t lost_hint_index() const noexcept {
+    const std::uint32_t i = lost_hint_ - front_serial_;
+    return i < segments_.size() ? i : 0;
+  }
+
   void maybe_send();
-  void transmit(SegmentRecord& record, bool is_retransmission);
-  /// Finds the oldest segment awaiting retransmission; nullptr when nothing
-  /// is eligible (at once when lost_count_ is zero).
-  SegmentRecord* next_lost_segment();
-  /// Index of the first segment starting at or after `seq` (binary search).
+  void transmit(std::uint32_t index, bool is_retransmission);
+  /// Index of the oldest segment awaiting retransmission; kNone when nothing
+  /// is eligible (at once when lost_count_ is zero). Scans from lost_hint_.
+  std::uint32_t next_lost_segment();
+  /// Index of the first segment starting at or after `seq` (a gallop from an
+  /// MSS-derived lower bound, then a binary search).
   [[nodiscard]] std::uint32_t first_segment_at(std::uint64_t seq) const;
-  /// Scan-derived lost_count_, for the invariant check.
+  /// Index of the first segment ending after `seq`.
+  [[nodiscard]] std::uint32_t first_segment_past(std::uint64_t seq) const;
+  /// A block of the previous ACK holding all of [start, end), or nullptr.
+  [[nodiscard]] const SackBlock* cached_sack_holding(std::uint64_t start,
+                                                     std::uint64_t end) const;
+  /// Scan-derived lost_count_, lowest lost index, RACK list and SACK-cache
+  /// checks, for the invariant build.
   [[nodiscard]] std::uint32_t count_lost_segments() const;
+  [[nodiscard]] std::uint32_t first_lost_by_scan() const;
+  [[nodiscard]] bool rack_list_matches_scan() const;
+  [[nodiscard]] bool sack_cache_holds() const;
+  /// RACK list edits. Insertion goes behind every record sent no later, so
+  /// a fresh transmission lands at the tail.
+  void rack_unlink(std::uint32_t serial);
+  void rack_insert(std::uint32_t serial);
   void mark_delivered(SegmentRecord& record, SimTime now, std::uint64_t& newly_delivered,
-                      SimDuration& rtt_sample, SimTime& newest_delivered_sent_time,
-                      std::uint64_t& newest_delivered_packet_id);
+                      SimDuration& rtt_sample, SimTime& newest_delivered_sent_time);
+  /// Declares a record lost (RACK or RTO): leaves the pipe, releases its
+  /// rate-sample snapshot, traces kPacketLost.
+  void mark_lost(SegmentRecord& record, bool by_rto);
   void detect_losses(SimTime newest_delivered_sent_time);
   /// Reverts an RTO's loss markings and window collapse after the ACK stream
   /// proved the timeout spurious (original transmissions kept arriving).
@@ -130,14 +176,31 @@ class TcpSender {
   /// snd_nxt), in sequence order and contiguous (each record starts where the
   /// previous one ends). A record is appended only when it is first
   /// transmitted and erased only from the front, by the cumulative ACK; SACK
-  /// blocks find their first record by binary search. Arena-backed ring:
-  /// every per-ACK walk is a scan over contiguous slots.
+  /// blocks find their first record with first_segment_at. Arena-backed
+  /// ring: every per-ACK walk is a scan over contiguous slots.
   ArenaRing<SegmentRecord> segments_;
+  /// Serial of segments_.front(). Records are numbered in append order, so a
+  /// serial (unlike a ring index) survives cumulative pops; index = serial -
+  /// front_serial_, modulo 2^32.
+  std::uint32_t front_serial_ = 0;
   /// Records with `lost && !sacked` (awaiting retransmission), so the
   /// per-send and per-rearm "anything lost?" queries skip the scan.
   std::uint32_t lost_count_ = 0;
+  /// No record with a lower serial is `lost && !sacked`: lowered where
+  /// records are marked lost, advanced by next_lost_segment.
+  std::uint32_t lost_hint_ = 0;
+  /// RACK's send-ordered list (RFC 8985; Linux's tsorted_sent_queue): exactly
+  /// the rack_candidate records, in non-decreasing last_sent, linked through
+  /// the records by serial. RACK takes losses from the head.
+  std::uint32_t rack_head_ = kNone;
+  std::uint32_t rack_tail_ = kNone;
+  /// The previous ACK's SACK blocks, clamped to SND.NXT: every record wholly
+  /// inside one of them is sacked, so the SACK walk skips them (Linux's
+  /// recv_sack_cache).
+  SackBlock sack_cache_[kMaxSackBlocks];
+  std::uint32_t sack_cache_count_ = 0;
+  std::uint64_t sack_records_walked_ = 0;
 
-  std::uint64_t next_packet_id_ = 1;
   SimTime last_send_time_{0};
   SimTime rack_newest_sent_time_{0};
 

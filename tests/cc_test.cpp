@@ -10,7 +10,6 @@
 #include "cc/pacer.hpp"
 #include "cc/rtt_estimator.hpp"
 #include "cc/windowed_filter.hpp"
-#include "util/arena.hpp"
 
 namespace qperc::cc {
 namespace {
@@ -370,41 +369,57 @@ TEST(Cubic, SpuriousRtoUndoIsIdempotentAndConservative) {
 }
 
 TEST(BandwidthSampler, MeasuresDeliveryRate) {
-  Arena arena;
-  BandwidthSampler sampler(arena);
-  SimTime t0{0};
+  BandwidthSampler sampler;
+  const SimTime t0{0};
+  const SimTime t1 = t0 + milliseconds(1);
   // Two packets sent back to back, acked 100 ms apart.
-  sampler.on_packet_sent(1, 10'000, t0, 0);
-  sampler.on_packet_sent(2, 10'000, t0 + milliseconds(1), 10'000);
-  const auto s1 = sampler.on_packet_acked(1, t0 + milliseconds(100));
+  const SendSnapshot p1 = sampler.on_packet_sent(10'000, t0, 0);
+  const SendSnapshot p2 = sampler.on_packet_sent(10'000, t1, 10'000);
+  const auto s1 = sampler.on_packet_acked(p1, t0, 10'000, t0 + milliseconds(100));
   ASSERT_TRUE(s1.has_value());
   // 10 kB delivered over 100 ms = 100 kB/s.
   EXPECT_NEAR(s1->delivery_rate.bytes_per_second_d(), 100'000.0, 2000.0);
-  const auto s2 = sampler.on_packet_acked(2, t0 + milliseconds(200));
+  const auto s2 = sampler.on_packet_acked(p2, t1, 10'000, t0 + milliseconds(200));
   ASSERT_TRUE(s2.has_value());
   EXPECT_NEAR(s2->delivery_rate.bytes_per_second_d(), 100'000.0, 2000.0);
+  EXPECT_EQ(sampler.total_bytes_delivered(), 20'000u);
+  EXPECT_EQ(sampler.in_flight_bytes(), 0u);
 }
 
 TEST(BandwidthSampler, AppLimitedMarksSubsequentSends) {
-  Arena arena;
-  BandwidthSampler sampler(arena);
-  SimTime t0{0};
-  sampler.on_packet_sent(1, 1000, t0, 0);
+  BandwidthSampler sampler;
+  const SimTime t0{0};
+  const SimTime t1 = t0 + milliseconds(1);
+  const SendSnapshot p1 = sampler.on_packet_sent(1000, t0, 0);
+  EXPECT_FALSE(p1.app_limited);
   sampler.on_app_limited();
-  sampler.on_packet_sent(2, 1000, t0 + milliseconds(1), 1000);
-  sampler.on_packet_acked(1, t0 + milliseconds(50));
-  const auto s2 = sampler.on_packet_acked(2, t0 + milliseconds(60));
+  const SendSnapshot p2 = sampler.on_packet_sent(1000, t1, 1000);
+  EXPECT_TRUE(p2.app_limited);
+  (void)sampler.on_packet_acked(p1, t0, 1000, t0 + milliseconds(50));
+  const auto s2 = sampler.on_packet_acked(p2, t1, 1000, t0 + milliseconds(60));
   ASSERT_TRUE(s2.has_value());
   EXPECT_TRUE(s2->is_app_limited);
 }
 
-TEST(BandwidthSampler, UnknownOrLostPacketsYieldNoSample) {
-  Arena arena;
-  BandwidthSampler sampler(arena);
-  EXPECT_FALSE(sampler.on_packet_acked(42, SimTime{seconds(1)}).has_value());
-  sampler.on_packet_sent(1, 1000, SimTime{0}, 0);
-  sampler.on_packet_lost(1);
-  EXPECT_FALSE(sampler.on_packet_acked(1, SimTime{seconds(1)}).has_value());
+TEST(BandwidthSampler, LostPacketsLeaveTheInFlightSum) {
+  // Which packets may still be sampled is the transport's business (it holds
+  // the snapshots); the sampler only has to stop counting a lost packet's
+  // bytes, or on_app_limited would mark sends app-limited too long.
+  BandwidthSampler sampler;
+  const SimTime t0{0};
+  const SimTime t1 = t0 + milliseconds(1);
+  (void)sampler.on_packet_sent(1000, t0, 0);
+  const SendSnapshot p2 = sampler.on_packet_sent(500, t1, 1000);
+  EXPECT_EQ(sampler.in_flight_bytes(), 1500u);
+  sampler.on_packet_lost(1000);
+  EXPECT_EQ(sampler.in_flight_bytes(), 500u);
+  EXPECT_EQ(sampler.total_bytes_delivered(), 0u);
+  // App-limited until the 500 bytes still in flight are delivered, no longer.
+  sampler.on_app_limited();
+  EXPECT_TRUE(sampler.on_packet_sent(200, t1, 500).app_limited);
+  (void)sampler.on_packet_acked_no_sample(p2, t1, 500, t0 + milliseconds(40));
+  EXPECT_EQ(sampler.total_bytes_delivered(), 500u);
+  EXPECT_FALSE(sampler.on_packet_sent(200, t0 + milliseconds(40), 200).app_limited);
 }
 
 TEST(WindowedFilter, TracksMaxOverWindow) {

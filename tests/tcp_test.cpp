@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <utility>
 #include <vector>
@@ -394,6 +395,9 @@ class MapScoreboard {
   std::vector<Pair> lost;           // (seq, by_rto)
   std::vector<Pair> spurious;       // (seq, by_rto)
   std::vector<Pair> retransmitted;  // predicted (seq, transmissions)
+  /// Records the sender's SACK walk should examine: those wholly inside a
+  /// block and not wholly inside any block of the previous ACK.
+  std::uint64_t sack_walked = 0;
   /// Probe or timeout firings while nothing was in flight or awaiting
   /// retransmission: the timer must have been cancelled.
   std::size_t unarmed_timer_fires = 0;
@@ -484,11 +488,17 @@ class MapScoreboard {
     for (const SackBlock& block : ack.sacks()) {
       for (auto it = segments_.lower_bound(block.start);
            it != segments_.end() && it->second.end <= block.end; ++it) {
+        const bool cached =
+            std::any_of(previous_sacks_.begin(), previous_sacks_.end(), [&](const SackBlock& c) {
+              return c.start <= it->first && it->second.end <= c.end;
+            });
+        if (!cached) ++sack_walked;
         if (it->second.sacked) continue;
         it->second.sacked = true;
         deliver(it->first, it->second);
       }
     }
+    previous_sacks_.assign(ack.sacks().begin(), ack.sacks().end());
     rack_newest_sent_ = std::max(rack_newest_sent_, newest_sent);
     if (spurious_rto) {
       for (auto& [start, record] : segments_) {
@@ -534,6 +544,7 @@ class MapScoreboard {
   };
 
   std::map<std::uint64_t, Record> segments_;
+  std::vector<SackBlock> previous_sacks_;
   std::uint64_t cumulative_ = 0;
   SimTime rack_newest_sent_{0};
   bool probe_pending_ = false;
@@ -547,6 +558,8 @@ struct ScoreboardRun {
   std::vector<std::uint64_t> bytes_in_flight;  // after the ACK's own sends
   std::vector<std::uint64_t> reference_bytes_in_flight;
   std::vector<std::uint64_t> cwnd_after_ack;
+  std::vector<std::uint64_t> sack_walked;  // per ACK
+  std::vector<std::uint64_t> reference_sack_walked;
   std::vector<MapScoreboard::Pair> lost;
   std::vector<MapScoreboard::Pair> spurious;
   std::vector<MapScoreboard::Pair> retransmitted;  // (seq, transmissions)
@@ -564,7 +577,17 @@ struct ScoreboardRun {
 /// spurious (undo). The peer SACKs the range it just grew first, then the
 /// highest others, up to three blocks. The last burst is followed by 700 ms
 /// of idle, long past the minimum RTO.
-ScoreboardRun run_scoreboard_history(const TcpConfig& config) {
+///
+/// With `odd_sacks` the peer also sends SACK shapes a real receiver rarely
+/// does, against the sender's diff of each ACK's blocks with the previous
+/// ACK's: every fifth ACK trims each block by 700 bytes at both ends (the
+/// edges cut through records, and the next ACK grows the block on both
+/// edges), every seventh ACK is sent twice (blocks re-reported unchanged),
+/// and every eleventh is delivered again 4 steps later (a stale, reordered
+/// ACK carrying older blocks). Retransmissions are dropped like any other
+/// transmission, so RACK also fires on runs whose send order differs from
+/// their sequence order.
+ScoreboardRun run_scoreboard_history(const TcpConfig& config, bool odd_sacks = false) {
   constexpr int kSteps = 600;
   constexpr int kLastBurst = 450;
   constexpr int kOneWaySteps = 2;
@@ -614,6 +637,7 @@ ScoreboardRun run_scoreboard_history(const TcpConfig& config) {
   std::map<std::uint64_t, int> tail_sends;
   std::map<std::uint64_t, std::uint64_t> peer_ranges;  // out of order, [start, end)
   std::uint64_t peer_cumulative = 0;
+  std::size_t acks_built = 0;
 
   for (int now_step = 0; now_step < kSteps; ++now_step) {
     if (now_step % kBurstEvery == 0 && now_step <= kLastBurst) {
@@ -672,17 +696,32 @@ ScoreboardRun run_scoreboard_history(const TcpConfig& config) {
       for (auto it = peer_ranges.rbegin(); it != peer_ranges.rend(); ++it) {
         if (it->first != newest_start) add_block(it->first, it->second);
       }
+      ++acks_built;
+      if (odd_sacks && acks_built % 5 == 0) {
+        for (std::size_t b = 0; b < ack.sack_count; ++b) {
+          SackBlock& block = ack.sack_blocks[b];
+          if (block.end - block.start > 2 * 700 + 1) block = {block.start + 700, block.end - 700};
+        }
+      }
       to_sender.emplace_back(now_step + kOneWaySteps, ack);
+      if (odd_sacks && acks_built % 7 == 0) to_sender.emplace_back(now_step + kOneWaySteps, ack);
+      if (odd_sacks && acks_built % 11 == 0) {
+        to_sender.emplace_back(now_step + kOneWaySteps + 4, ack);
+      }
     }
 
     for (const auto& [arrival, ack] : to_sender) {
       if (arrival != now_step) continue;
+      const std::uint64_t walked_before = sender.sack_records_walked();
+      const std::uint64_t reference_walked_before = run.reference.sack_walked;
       sender.on_ack_received(ack);
       const cc::RttEstimator& rtt = sender.rtt();
       run.reference.on_ack(ack, rtt.has_sample()
                                     ? std::max<SimDuration>(rtt.min_rtt() / 4, milliseconds(1))
                                     : SimDuration{milliseconds(5)});
       run.reference_pipe_after_ack.push_back(run.reference.pipe);
+      run.sack_walked.push_back(sender.sack_records_walked() - walked_before);
+      run.reference_sack_walked.push_back(run.reference.sack_walked - reference_walked_before);
       fold_events();
       run.reference_bytes_in_flight.push_back(run.reference.pipe);
       run.bytes_in_flight.push_back(sender.bytes_in_flight());
@@ -722,15 +761,59 @@ constexpr std::uint64_t kScoreboardBbrCwnd[] = {
     145981, 145981, 147422,
 };
 
+// The same for the odd SACK shapes, recorded from a sender whose SACK walk
+// rescanned every block and whose RACK scanned the whole scoreboard.
+constexpr std::uint64_t kScoreboardOddSackCubicCwnd[] = {
+    27740, 20536, 20536, 21073, 21073, 21843, 21848, 21848, 22591, 22597,
+    22914, 16199, 16739, 16739, 16846, 17214, 17214, 12151, 12848, 12873,
+    13364, 9429, 10250, 11326, 11326, 11391, 11391, 9243, 9670, 9691,
+    10431, 10458, 10946, 10946, 7774, 8347, 8508, 9078, 9242, 9996,
+    9996, 10121, 10121, 10741, 10863, 11630, 11725, 11939, 12618, 12796,
+    12796, 13389, 13560, 14266, 14266, 14410, 14893, 10561, 11467, 11467,
+    11484, 12196, 12217, 12729, 8930, 9534, 9648, 9648, 9648, 10285,
+    11278, 11807, 9446, 10106, 10846, 11343, 11343, 11372, 8610, 8718,
+    9208, 9208, 9362, 10091, 10215, 10215, 10642, 7567, 8465, 8494,
+    9182, 9220, 9861, 9861, 9979, 9979, 10251, 7207, 8126, 8518,
+    6703, 7304, 7304, 7352, 7995, 8051, 8914, 8950, 8950, 9866,
+    9886, 9886, 10594, 10622, 11501, 11518, 12053, 8460, 9721, 9721,
+    10348, 10348, 10711, 8933, 9507, 10097, 10121, 10819, 10819, 8980,
+    9567, 10150, 10174, 10509, 7477, 7477, 8395, 8395, 8423, 9115,
+    9152, 10045, 10068, 10568, 7427, 7427, 8294, 8906, 8941, 8941,
+    9854, 9874, 10381, 7297, 7297, 8560, 9154, 10102, 10138, 10445,
+    7341, 8229, 8229, 8229, 8842, 6361, 6860, 7319, 7546, 8273,
+    8445, 8445,
+};
+constexpr std::uint64_t kScoreboardOddSackBbrCwnd[] = {
+    87600, 29200, 30660, 52560, 54020, 58400, 81760, 81760, 100740, 78821,
+    80281, 91961, 115321, 132841, 147441, 147441, 147441, 148901, 151821, 151821,
+    151821, 151821, 153262, 230642, 230642, 121161, 128461, 129921, 129921, 129921,
+    172261, 172261, 181021, 181021, 182481, 183922, 232054, 232054, 232054, 232054,
+    232054, 232054, 232054, 232054, 215320, 113880, 134320, 150380, 175200, 197100,
+    197100, 215320, 215320, 215320, 209982, 209982, 209982, 209982, 209982, 209982,
+    209982, 209982, 209982, 209982, 209982, 141620, 172280, 172280, 197100, 209982,
+    209982, 220481, 220481, 220481, 220481, 220481, 220481, 220481, 220481, 220481,
+    220481, 220481, 220481, 220481, 127001, 127001, 144521, 173721, 202921, 213141,
+    215571, 215571, 215571, 215571, 215571, 215571, 215571, 215571, 215571, 215571,
+};
+
 TEST(TcpScoreboard, LongHistoryMatchesMapReference) {
   TcpConfig bbr = tuned_config();
   bbr.congestion_control = cc::CcKind::kBbr;
-  const std::vector<std::pair<TcpConfig, std::vector<std::uint64_t>>> cases = {
-      {stock_config(), {std::begin(kScoreboardCubicCwnd), std::end(kScoreboardCubicCwnd)}},
-      {bbr, {std::begin(kScoreboardBbrCwnd), std::end(kScoreboardBbrCwnd)}},
+  struct Case {
+    TcpConfig config;
+    bool odd_sacks;
+    std::vector<std::uint64_t> reference_cwnd;
   };
-  for (const auto& [config, reference_cwnd] : cases) {
-    const ScoreboardRun run = run_scoreboard_history(config);
+  const std::vector<Case> cases = {
+      {stock_config(), false, {std::begin(kScoreboardCubicCwnd), std::end(kScoreboardCubicCwnd)}},
+      {bbr, false, {std::begin(kScoreboardBbrCwnd), std::end(kScoreboardBbrCwnd)}},
+      {stock_config(), true,
+       {std::begin(kScoreboardOddSackCubicCwnd), std::end(kScoreboardOddSackCubicCwnd)}},
+      {bbr, true, {std::begin(kScoreboardOddSackBbrCwnd), std::end(kScoreboardOddSackBbrCwnd)}},
+  };
+  for (const auto& [config, odd_sacks, reference_cwnd] : cases) {
+    SCOPED_TRACE(odd_sacks ? "odd SACK shapes" : "receiver-shaped SACKs");
+    const ScoreboardRun run = run_scoreboard_history(config, odd_sacks);
     // The history covers what the scoreboard has to get right.
     EXPECT_GE(run.stats.retransmissions, 20u);
     EXPECT_GE(run.stats.tail_probes, 2u);
@@ -744,8 +827,109 @@ TEST(TcpScoreboard, LongHistoryMatchesMapReference) {
     EXPECT_EQ(run.lost, run.reference.lost);
     EXPECT_EQ(run.spurious, run.reference.spurious);
     EXPECT_EQ(run.retransmitted, run.reference.retransmitted);
+    EXPECT_EQ(run.sack_walked, run.reference_sack_walked);
     EXPECT_EQ(run.cwnd_after_ack, reference_cwnd);
   }
+}
+
+/// A bare stock sender whose first segment left 10 ms before the other nine
+/// (one-way delay 10 ms, handshake RTT 20 ms, so RACK's reorder window is
+/// 5 ms). Returns the segments it sent.
+std::vector<TcpSegment> start_staggered_flight(sim::Simulator& simulator, TcpSender& sender,
+                                               std::vector<TcpSegment>& wire) {
+  sender.on_established(std::uint64_t{1} << 30, milliseconds(20));
+  (void)sender.write(1460);
+  simulator.run_until(SimTime{milliseconds(10)});
+  (void)sender.write(9 * 1460);
+  simulator.run_until(SimTime{milliseconds(30)});
+  return wire;
+}
+
+TcpSegment make_ack(std::uint64_t cumulative, std::initializer_list<SackBlock> sacks) {
+  TcpSegment ack;
+  ack.has_ack = true;
+  ack.cumulative_ack = cumulative;
+  ack.receive_window_bytes = std::uint64_t{1} << 30;
+  for (const SackBlock& block : sacks) ack.sack_blocks[ack.sack_count++] = block;
+  return ack;
+}
+
+TEST(TcpScoreboard, SpuriousRtoUndoRestoresSendOrder) {
+  // The RTO marks all ten segments lost and retransmits the first two; the
+  // ACK that proves the timeout spurious SACKs 5-9 (the probe of 9 newest),
+  // so the undo returns 2-4 to the pipe. They left 40 ms before the probe,
+  // long past RACK's reorder window, and must be declared lost at once
+  // although the retransmissions of 0 and 1, sent after them, are too recent.
+  sim::Simulator simulator;
+  trace::MemorySink sink;
+  simulator.set_trace(&sink);
+  std::vector<TcpSegment> wire;
+  TcpSender sender(simulator, stock_config(), std::uint64_t{1} << 32,
+                   [&wire](TcpSegment segment) { wire.push_back(segment); });
+  ASSERT_EQ(start_staggered_flight(simulator, sender, wire).size(), 10u);
+  simulator.run_until(SimTime{milliseconds(400)});
+  ASSERT_EQ(sender.stats().tail_probes, 1u);
+  ASSERT_EQ(sender.stats().timeouts, 1u);
+  ASSERT_EQ(wire.size(), 13u);
+  ASSERT_EQ(wire.back().seq, 1460u);
+
+  const std::size_t before = sink.events().size();
+  sender.on_ack_received(make_ack(0, {{5 * 1460, 10 * 1460}}));
+  EXPECT_EQ(sender.stats().spurious_timeouts, 1u);
+  std::vector<std::uint64_t> rack_lost;
+  for (std::size_t i = before; i < sink.events().size(); ++i) {
+    const trace::Event& event = sink.events()[i];
+    if (event.type == trace::EventType::kPacketLost) rack_lost.push_back(event.id);
+  }
+  EXPECT_EQ(rack_lost, (std::vector<std::uint64_t>{2 * 1460, 3 * 1460, 4 * 1460}));
+}
+
+TEST(TcpSender, RackLostSegmentAckedLaterYieldsNoRateSample) {
+  sim::Simulator simulator;
+  trace::MemorySink sink;
+  simulator.set_trace(&sink);
+  std::vector<TcpSegment> wire;
+  TcpSender sender(simulator, stock_config(), std::uint64_t{1} << 32,
+                   [&wire](TcpSegment segment) { wire.push_back(segment); });
+  ASSERT_EQ(start_staggered_flight(simulator, sender, wire).size(), 10u);
+
+  // The last segment is SACKed: RACK declares the first one lost, and the
+  // Cubic window cut leaves no room to retransmit it yet.
+  sender.on_ack_received(make_ack(0, {{9 * 1460, 10 * 1460}}));
+  ASSERT_EQ(sender.stats().retransmissions, 0u);
+  ASSERT_TRUE(std::any_of(sink.events().begin(), sink.events().end(), [](const auto& event) {
+    return event.type == trace::EventType::kPacketLost && event.id == 0;
+  }));
+  EXPECT_EQ(sender.sampler().total_bytes_delivered(), 1460u);
+
+  // Its original transmission arrives after all: delivered, but no sample.
+  sender.on_ack_received(make_ack(1460, {{9 * 1460, 10 * 1460}}));
+  EXPECT_EQ(sender.stats().bytes_delivered, 2 * 1460u);
+  EXPECT_EQ(sender.sampler().total_bytes_delivered(), 1460u);
+  EXPECT_EQ(sender.sampler().in_flight_bytes(), sender.bytes_in_flight());
+}
+
+TEST(TcpSender, TailProbeLeavesItsOldSnapshotInFlight) {
+  // Known leak, kept for bit-exactness (see on_retransmission_timer): the
+  // probe's transmission overwrites the tail segment's rate-sample snapshot
+  // without releasing its bytes from the sampler's in-flight sum. Fixing it
+  // changes this test.
+  sim::Simulator simulator;
+  std::vector<TcpSegment> wire;
+  TcpSender sender(simulator, stock_config(), std::uint64_t{1} << 32,
+                   [&wire](TcpSegment segment) { wire.push_back(segment); });
+  ASSERT_EQ(start_staggered_flight(simulator, sender, wire).size(), 10u);
+  EXPECT_EQ(sender.sampler().in_flight_bytes(), 10 * 1460u);
+  simulator.run_until(SimTime{milliseconds(60)});  // probe timeout: 2 x 20 ms
+  ASSERT_EQ(sender.stats().tail_probes, 1u);
+  ASSERT_EQ(wire.size(), 11u);
+  EXPECT_EQ(wire.back().seq, 9 * 1460u);
+  EXPECT_EQ(sender.bytes_in_flight(), 10 * 1460u);
+  EXPECT_EQ(sender.sampler().in_flight_bytes(), 11 * 1460u);
+
+  sender.on_ack_received(make_ack(10 * 1460, {}));
+  EXPECT_EQ(sender.bytes_in_flight(), 0u);
+  EXPECT_EQ(sender.sampler().in_flight_bytes(), 1460u);
 }
 
 }  // namespace
