@@ -1,6 +1,7 @@
 #include "net/emulated_network.hpp"
 
 #include <algorithm>
+#include <new>
 #include <utility>
 
 namespace qperc::net {
@@ -27,12 +28,6 @@ EmulatedNetwork::EmulatedNetwork(sim::Simulator& simulator, const NetworkProfile
       downlink_(simulator, profile.downlink, profile.min_rtt / 2, profile.loss_rate,
                 profile.downlink_queue_bytes(), rng.fork("downlink-loss"),
                 [this](Packet p) { deliver_downlink(std::move(p)); }),
-      client_flows_(ArenaAllocator<std::pair<const std::uint64_t, Handler>>(
-          simulator.arena())),
-      server_flows_(ArenaAllocator<std::pair<const std::uint64_t, Handler>>(
-          simulator.arena())),
-      flow_endpoints_(ArenaAllocator<std::pair<const std::uint64_t, EndpointId>>(
-          simulator.arena())),
       // The disabled path derives no extra randomness: fork("access") happens
       // only when contention is on (the placeholder Rng(0) is never drawn).
       access_rng_(contention.enabled() ? rng.fork("access") : Rng(0)) {
@@ -51,9 +46,14 @@ EmulatedNetwork::EmulatedNetwork(sim::Simulator& simulator, const NetworkProfile
 }
 
 EmulatedNetwork::~EmulatedNetwork() {
-  // Endpoints are arena-placed; the arena reclaims storage without running
-  // destructors, so run them here (Link owns RingBuffer slabs on the heap).
+  // Endpoints and handlers are arena-placed; the arena reclaims storage
+  // without running destructors, so run them here (Link owns RingBuffer
+  // slabs on the heap; a handler may own a heap-fallback callable).
   for (Endpoint* endpoint : endpoints_) endpoint->~Endpoint();
+  for (const FlowSlot& flow : flows_) {
+    if (flow.client != nullptr) flow.client->~Handler();
+    if (flow.server != nullptr) flow.server->~Handler();
+  }
 }
 
 EmulatedNetwork::Endpoint::Endpoint(sim::Simulator& simulator,
@@ -94,27 +94,45 @@ void EmulatedNetwork::set_flow_endpoint(EndpointId endpoint) {
   current_endpoint_ = endpoint;
 }
 
+EmulatedNetwork::FlowSlot& EmulatedNetwork::slot(FlowId flow) {
+  const auto index = static_cast<std::uint64_t>(flow);
+  while (flows_.size() <= index) flows_.push_back(simulator_.arena(), FlowSlot{});
+  return flows_[index];
+}
+
+void EmulatedNetwork::install(Handler*& target, Handler handler) {
+  if (target == nullptr) {
+    target = ::new (simulator_.arena().allocate(sizeof(Handler), alignof(Handler)))
+        Handler(std::move(handler));
+  } else {
+    *target = std::move(handler);
+  }
+}
+
 void EmulatedNetwork::register_client_flow(FlowId flow, Handler handler) {
-  client_flows_[static_cast<std::uint64_t>(flow)] = std::move(handler);
+  install(slot(flow).client, std::move(handler));
 }
 
 void EmulatedNetwork::unregister_client_flow(FlowId flow) {
-  client_flows_.erase(static_cast<std::uint64_t>(flow));
+  if (const FlowSlot* found = find_slot(flow); found != nullptr && found->client != nullptr) {
+    *found->client = nullptr;
+  }
 }
 
 void EmulatedNetwork::register_server_flow(FlowId flow, Handler handler) {
-  server_flows_[static_cast<std::uint64_t>(flow)] = std::move(handler);
+  install(slot(flow).server, std::move(handler));
 }
 
 void EmulatedNetwork::unregister_server_flow(FlowId flow) {
-  server_flows_.erase(static_cast<std::uint64_t>(flow));
+  if (const FlowSlot* found = find_slot(flow); found != nullptr && found->server != nullptr) {
+    *found->server = nullptr;
+  }
 }
 
 void EmulatedNetwork::client_send(Packet packet) {
   if (!endpoints_.empty()) {
-    if (const auto it = flow_endpoints_.find(static_cast<std::uint64_t>(packet.flow));
-        it != flow_endpoints_.end()) {
-      endpoints_[it->second - 1]->up.send(std::move(packet));
+    if (const EndpointId endpoint = endpoint_of(packet.flow); endpoint != kDirectEndpoint) {
+      endpoints_[endpoint - 1]->up.send(std::move(packet));
       return;
     }
   }
@@ -124,17 +142,15 @@ void EmulatedNetwork::client_send(Packet packet) {
 void EmulatedNetwork::server_send(Packet packet) { downlink_.send(std::move(packet)); }
 
 void EmulatedNetwork::deliver_uplink(Packet packet) {
-  if (const auto it = server_flows_.find(static_cast<std::uint64_t>(packet.flow));
-      it != server_flows_.end()) {
-    it->second(std::move(packet));
+  if (const FlowSlot* found = find_slot(packet.flow); found != nullptr) {
+    dispatch(found->server, std::move(packet));
   }
 }
 
 void EmulatedNetwork::deliver_downlink(Packet packet) {
   if (!endpoints_.empty()) {
-    if (const auto it = flow_endpoints_.find(static_cast<std::uint64_t>(packet.flow));
-        it != flow_endpoints_.end()) {
-      endpoints_[it->second - 1]->down.send(std::move(packet));
+    if (const EndpointId endpoint = endpoint_of(packet.flow); endpoint != kDirectEndpoint) {
+      endpoints_[endpoint - 1]->down.send(std::move(packet));
       return;
     }
   }
@@ -142,9 +158,8 @@ void EmulatedNetwork::deliver_downlink(Packet packet) {
 }
 
 void EmulatedNetwork::deliver_to_client(Packet packet) {
-  if (const auto it = client_flows_.find(static_cast<std::uint64_t>(packet.flow));
-      it != client_flows_.end()) {
-    it->second(std::move(packet));
+  if (const FlowSlot* found = find_slot(packet.flow); found != nullptr) {
+    dispatch(found->client, std::move(packet));
   }
 }
 

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <utility>
 
 #include "net/contention.hpp"
@@ -74,16 +73,14 @@ class EmulatedNetwork {
 
   [[nodiscard]] const LinkStats& uplink_stats() const { return uplink_.stats(); }
   [[nodiscard]] const LinkStats& downlink_stats() const { return downlink_.stats(); }
-  /// Direct link access (observers/tracing). These are the shared bottleneck
-  /// links; access links are internal to their endpoints.
+  /// Direct link access (impairments, schedules, stats). These are the
+  /// shared bottleneck links; access links are internal to their endpoints.
   [[nodiscard]] Link& uplink() { return uplink_; }
   [[nodiscard]] Link& downlink() { return downlink_; }
   [[nodiscard]] const NetworkProfile& profile() const noexcept { return profile_; }
   [[nodiscard]] FlowId allocate_flow_id() {
     const FlowId flow{next_flow_id_++};
-    if (current_endpoint_ != kDirectEndpoint) {
-      flow_endpoints_[static_cast<std::uint64_t>(flow)] = current_endpoint_;
-    }
+    if (current_endpoint_ != kDirectEndpoint) slot(flow).endpoint = current_endpoint_;
     return flow;
   }
   [[nodiscard]] std::uint32_t endpoint_count() const noexcept {
@@ -103,6 +100,35 @@ class EmulatedNetwork {
     Link down;  // bottleneck downlink -> endpoint
   };
 
+  /// Per-flow routing state, indexed by flow id. Handlers are arena-placed
+  /// and pointed to, not stored inline: a handler may register a new flow
+  /// while it runs (a browser opening a connection from a delivery), and the
+  /// growth that follows must not move the handler out from under itself.
+  struct FlowSlot {
+    Handler* client = nullptr;  // null or empty = unregistered
+    Handler* server = nullptr;
+    EndpointId endpoint = kDirectEndpoint;
+  };
+
+  /// The slot of `flow`, growing the table to reach it.
+  FlowSlot& slot(FlowId flow);
+  /// The slot of `flow`, or nullptr when the id is beyond the table.
+  [[nodiscard]] const FlowSlot* find_slot(FlowId flow) const noexcept {
+    const auto index = static_cast<std::uint64_t>(flow);
+    return index < flows_.size() ? &flows_[index] : nullptr;
+  }
+  /// Installs `handler` in `*target`, placing a Handler in the arena on
+  /// first use.
+  void install(Handler*& target, Handler handler);
+  /// The endpoint `flow` is attached to (kDirectEndpoint when unknown).
+  [[nodiscard]] EndpointId endpoint_of(FlowId flow) const noexcept {
+    const FlowSlot* found = find_slot(flow);
+    return found != nullptr ? found->endpoint : kDirectEndpoint;
+  }
+  static void dispatch(Handler* handler, Packet&& packet) {
+    if (handler != nullptr && *handler) (*handler)(std::move(packet));
+  }
+
   void deliver_uplink(Packet packet);
   void deliver_downlink(Packet packet);
   void deliver_to_client(Packet packet);
@@ -114,22 +140,11 @@ class EmulatedNetwork {
   // delivery hooks capture `this` only and fire well after construction.
   Link uplink_;
   Link downlink_;
-  /// Keyed lookups only today, but ordered anyway: a future iteration (e.g.
-  /// broadcasting link state to all flows) must not inherit hash order.
-  /// Node storage comes from the trial arena: registration/unregistration
-  /// churn is a pointer bump, reclaimed wholesale at Simulator::reset().
-  std::map<std::uint64_t, Handler, std::less<std::uint64_t>,
-           ArenaAllocator<std::pair<const std::uint64_t, Handler>>>
-      client_flows_;
-  std::map<std::uint64_t, Handler, std::less<std::uint64_t>,
-           ArenaAllocator<std::pair<const std::uint64_t, Handler>>>
-      server_flows_;
-  /// flow id -> 1-based index into endpoints_; flows of the direct endpoint
-  /// are absent. Empty whenever contention is disabled, so the single-flow
-  /// path never pays a lookup that could change behavior.
-  std::map<std::uint64_t, EndpointId, std::less<std::uint64_t>,
-           ArenaAllocator<std::pair<const std::uint64_t, EndpointId>>>
-      flow_endpoints_;
+  /// Flow ids come from allocate_flow_id() (dense, from 1), so the table is
+  /// a flat arena array; slot 0 is never a flow. Endpoints stay
+  /// kDirectEndpoint whenever contention is disabled, so the single-flow
+  /// path never routes differently.
+  ArenaVec<FlowSlot> flows_;
   /// Arena-placed access-link pairs, 1-based via EndpointId (slot i-1).
   ArenaVec<Endpoint*> endpoints_;
   /// Forked from the trial network stream only when contention is enabled —

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "util/check.hpp"
-
 namespace qperc::net {
 
 Link::Link(sim::Simulator& simulator, DataRate rate, SimDuration propagation_delay,
@@ -18,64 +16,37 @@ Link::Link(sim::Simulator& simulator, DataRate rate, SimDuration propagation_del
       loss_rng_(loss_rng),
       deliver_(std::move(deliver)) {}
 
-void Link::send(Packet packet) {
-  ++stats_.packets_offered;
-  // The arithmetic path folds the per-packet serialization-complete event
-  // into arithmetic on busy_until_ — the dominant cost of a page-load trial
-  // is event dispatch, and this halves the event count. It also carries
-  // tracing: a trace sink gets its fate events stamped at the serialization
-  // end through notify-only events (report_fate), so attaching one cannot
-  // change the schedule. Only an Observer selects the event-driven path.
-  // Both paths draw from the loss RNG in serialization (FIFO = send) order
-  // and share the busy clock, so they produce identical streams and
-  // identical delivery times.
-  if (observer_ || serializing_) {
-    send_traced(std::move(packet));
-  } else {
-    send_fast(std::move(packet));
-  }
-}
-
 void Link::drain_completed() {
-  // A completion landing at exactly this instant counts as done: its
-  // completion event was scheduled a full transmission time ago, before the
-  // event performing this send, so the event-driven ordering fires it first.
-  // Must agree with the queued_bytes() accessor or a sender polling it could
-  // spin on a capacity check that never passes.
+  // A completion landing at exactly this instant counts as done. Must agree
+  // with the queued_bytes() accessor or a sender polling it could spin on a
+  // capacity check that never passes.
   while (!completions_.empty() && completions_.front().done <= simulator_.now()) {
     queued_bytes_ -= completions_.front().wire_bytes;
     completions_.pop_front();
   }
 }
 
-void Link::send_fast(Packet&& packet) {
+void Link::send(Packet packet) {
+  // Serialization is arithmetic on busy_until_: the dominant cost of a
+  // page-load trial is event dispatch, and folding the per-packet
+  // serialization-complete event into this arithmetic halves the event
+  // count. Fates are decided here, in send (FIFO) order, which is the
+  // serialization order the loss RNG is drawn in.
+  ++stats_.packets_offered;
   drain_completed();
   if (queued_bytes_ + packet.wire_bytes > queue_capacity_bytes_) {
     ++stats_.drops_queue_full;
-    notify(LinkEvent::kDroppedQueueFull, packet);
+    notify(trace::EventType::kLinkDroppedQueueFull, packet);
     return;
   }
   queued_bytes_ += packet.wire_bytes;
   stats_.max_queue_bytes = std::max(stats_.max_queue_bytes, queued_bytes_);
-  notify(LinkEvent::kEnqueued, packet);
+  notify(trace::EventType::kLinkEnqueued, packet);
   const SimTime start = std::max(simulator_.now(), busy_until_);
   const SimTime done = serialize_end(start, packet.wire_bytes);
   busy_until_ = done;
   completions_.push_back(PendingDone{done, packet.wire_bytes});
   decide_fate(packet, done);
-}
-
-void Link::send_traced(Packet&& packet) {
-  if (queued_bytes_ + packet.wire_bytes > queue_capacity_bytes_) {
-    ++stats_.drops_queue_full;
-    notify(LinkEvent::kDroppedQueueFull, packet);
-    return;
-  }
-  queued_bytes_ += packet.wire_bytes;
-  stats_.max_queue_bytes = std::max(stats_.max_queue_bytes, queued_bytes_);
-  notify(LinkEvent::kEnqueued, packet);
-  queue_.push_back(std::move(packet));
-  if (!serializing_) start_serialization();
 }
 
 SimTime Link::serialize_end(SimTime start, std::uint64_t wire_bytes) const {
@@ -136,20 +107,20 @@ void Link::decide_fate(const Packet& packet, SimTime done) {
   // their exact RNG stream and golden traces.
   if (loss_rng_.bernoulli(loss_rate_)) {
     ++stats_.drops_random_loss;
-    report_fate(LinkEvent::kDroppedRandomLoss, packet, done);
+    report_fate(trace::EventType::kLinkDroppedRandomLoss, packet, done);
   } else if (impairments_.in_outage(done)) {
     ++stats_.drops_outage;
-    report_fate(LinkEvent::kDroppedOutage, packet, done);
+    report_fate(trace::EventType::kLinkDroppedOutage, packet, done);
   } else if (bursty_loss()) {
     ++stats_.drops_burst_loss;
-    report_fate(LinkEvent::kDroppedBurstLoss, packet, done);
+    report_fate(trace::EventType::kLinkDroppedBurstLoss, packet, done);
   } else if (policed(packet, done)) {
     // Policing comes after the stochastic stages so a policed profile keeps
     // the same loss-RNG stream; the drop itself is deterministic. Dropping
     // post-serialization (no queueing signature) is exactly the carrier
     // token-bucket pathology BBR's lt_bw estimator detects.
     ++stats_.drops_policer;
-    report_fate(LinkEvent::kDroppedPolicer, packet, done);
+    report_fate(trace::EventType::kLinkDroppedPolicer, packet, done);
   } else {
     SimDuration delay = propagation_delay_;
     if (impairments_.reordering_enabled() &&
@@ -157,7 +128,7 @@ void Link::decide_fate(const Packet& packet, SimTime done) {
       const SimDuration extra = jitter_draw();
       delay += extra;
       ++stats_.reordered;
-      report_fate(LinkEvent::kReordered, packet, done,
+      report_fate(trace::EventType::kLinkReordered, packet, done,
                   static_cast<std::uint64_t>(extra.count()));
     }
     // The duplication draws come before either delivery is scheduled, so a
@@ -172,26 +143,27 @@ void Link::decide_fate(const Packet& packet, SimTime done) {
                                 : SimDuration::zero();
     if (duplicated) {
       ++stats_.duplicates;
-      report_fate(LinkEvent::kDuplicated, packet, done);
+      report_fate(trace::EventType::kLinkDuplicated, packet, done);
     }
     schedule_delivery_at(packet, done + delay);
     if (duplicated) schedule_delivery_at(packet, done + delay + lag);
   }
 }
 
-void Link::report_fate(LinkEvent event, const Packet& packet, SimTime done, std::uint64_t id) {
+void Link::report_fate(trace::EventType type, const Packet& packet, SimTime done,
+                       std::uint64_t id) {
+  if (simulator_.trace() == nullptr) return;
   if (done <= simulator_.now()) {
-    notify(event, packet, id);  // the event-driven path decides at `done`
+    // The packet serialized within the sending instant (a sub-nanosecond
+    // transmission time, as on the zero-delay torture profile), so its fate
+    // time is now: report it at once rather than after the events already
+    // queued for this instant.
+    notify(type, packet, id);
     return;
   }
-  // The arithmetic path decided ahead of time; it never runs with an
-  // observer attached, so only a trace sink can be listening.
-  QPERC_DCHECK(!observer_) << "arithmetic link path with an observer attached";
-  if (simulator_.trace() == nullptr) return;
-  simulator_.schedule_at(done, [this, event, flow = packet.flow,
-                                bytes = packet.wire_bytes, id] {
-    simulator_.trace_event(to_trace_event(event), trace::Endpoint::kNone,
-                           static_cast<std::uint64_t>(flow), id, bytes, trace_direction_);
+  simulator_.schedule_at(done, [this, type, flow = packet.flow, bytes = packet.wire_bytes, id] {
+    simulator_.trace_event(type, trace::Endpoint::kNone, static_cast<std::uint64_t>(flow), id,
+                           bytes, trace_direction_);
   });
 }
 
@@ -199,27 +171,8 @@ void Link::schedule_delivery_at(const Packet& packet, SimTime when) {
   simulator_.schedule_at(when, [this, packet]() mutable {
     ++stats_.packets_delivered;
     stats_.bytes_delivered += packet.wire_bytes;
-    notify(LinkEvent::kDelivered, packet);
+    notify(trace::EventType::kLinkDelivered, packet);
     deliver_(std::move(packet));
-  });
-}
-
-void Link::start_serialization() {
-  if (queue_.empty()) {
-    serializing_ = false;
-    return;
-  }
-  serializing_ = true;
-  const Packet packet = queue_.pop_front();
-  // Respect any backlog the fast path accounted for arithmetically, so an
-  // observer attaching mid-flight never overlaps two serializations.
-  const SimTime done =
-      serialize_end(std::max(simulator_.now(), busy_until_), packet.wire_bytes);
-  busy_until_ = done;
-  simulator_.schedule_at(done, [this, packet]() mutable {
-    queued_bytes_ -= packet.wire_bytes;
-    decide_fate(packet, simulator_.now());
-    start_serialization();
   });
 }
 

@@ -11,21 +11,21 @@
 // could not emulate; with impairments disabled the link performs exactly the
 // same RNG draws as before, so goldens stay bit-exact.
 //
-// With a RateSchedule installed the serializer's rate varies over time:
-// serialize_end() integrates capacity piecewise across rate boundaries, so a
-// rate change mid-backlog re-derives the busy clock byte-accurately. Both the
-// arithmetic fast path and the event-driven observed path compute completion
-// times through the same serialize_end() off the shared busy_until_ clock,
-// which is what keeps the two paths equivalent under schedules (the PR 3
-// fast/observed contract). A disabled schedule takes the original
+// Serialization is arithmetic: send() derives each packet's completion time
+// from the busy_until_ clock, decides its fate there and then, and records
+// the completion so the queue-occupancy decrement can be applied lazily. No
+// event fires per serialization; only deliveries are scheduled. With a
+// RateSchedule installed serialize_end() integrates capacity piecewise
+// across rate boundaries, so a rate change mid-backlog re-derives the busy
+// clock byte-accurately; a disabled schedule takes the original
 // single-multiply path and is bit-exact with the pre-schedule link.
 //
-// Only an Observer selects the event-driven path. A trace sink rides the
-// arithmetic path: enqueue and queue-full drops are notified at send time,
-// deliveries from the delivery event, and every other fate (loss, outage,
-// burst loss, policing, reordering, duplication) from a notify-only event
-// at the serialization end that touches no link state. Attaching a sink
-// therefore cannot change any result.
+// The simulator's trace sink is the one way to watch packets on the wire.
+// Enqueue and queue-full drops are reported at send time, deliveries from
+// the delivery event, and every other fate (loss, outage, burst loss,
+// policing, reordering, duplication) from a notify-only event at the
+// serialization end that touches no link state. Attaching or detaching a
+// sink therefore cannot change any result.
 #pragma once
 
 #include <cstdint>
@@ -56,44 +56,15 @@ struct LinkStats {
   std::uint64_t max_queue_bytes = 0;
 };
 
-/// Per-packet lifecycle events a Link can report to an observer.
-enum class LinkEvent {
-  kEnqueued,
-  kDroppedQueueFull,
-  kDroppedRandomLoss,
-  kDelivered,
-  kDroppedBurstLoss,
-  kDroppedOutage,
-  kDuplicated,
-  kReordered,
-  kDroppedPolicer,
-};
-
-[[nodiscard]] constexpr trace::EventType to_trace_event(LinkEvent event) noexcept {
-  switch (event) {
-    case LinkEvent::kEnqueued: return trace::EventType::kLinkEnqueued;
-    case LinkEvent::kDroppedQueueFull: return trace::EventType::kLinkDroppedQueueFull;
-    case LinkEvent::kDroppedRandomLoss: return trace::EventType::kLinkDroppedRandomLoss;
-    case LinkEvent::kDelivered: return trace::EventType::kLinkDelivered;
-    case LinkEvent::kDroppedBurstLoss: return trace::EventType::kLinkDroppedBurstLoss;
-    case LinkEvent::kDroppedOutage: return trace::EventType::kLinkDroppedOutage;
-    case LinkEvent::kDuplicated: return trace::EventType::kLinkDuplicated;
-    case LinkEvent::kReordered: return trace::EventType::kLinkReordered;
-    case LinkEvent::kDroppedPolicer: return trace::EventType::kLinkDroppedPolicer;
-  }
-  return trace::EventType::kLinkEnqueued;  // unreachable with valid input
-}
-
 class Link {
  public:
   // Same small-buffer callable vocabulary as Simulator::Callback: a delivery
   // hook captures at most a couple of pointers, so installing and invoking
   // one never allocates.
   using DeliverFn = SmallFunction<void(Packet)>;
-  using Observer = SmallFunction<void(LinkEvent, const Packet&)>;
 
-  /// `queue_capacity_bytes` bounds the droptail queue (excluding the packet
-  /// currently being serialized). `loss_rate` is applied per packet after the
+  /// `queue_capacity_bytes` bounds the droptail queue (counting the packet
+  /// being serialized, which frees its bytes when it finishes). `loss_rate` is applied per packet after the
   /// queue, i.e. queued packets can still be lost "on the wire".
   Link(sim::Simulator& simulator, DataRate rate, SimDuration propagation_delay,
        double loss_rate, std::uint64_t queue_capacity_bytes, Rng loss_rng,
@@ -125,17 +96,14 @@ class Link {
   }
   [[nodiscard]] const RateSchedule& schedule() const noexcept { return schedule_; }
 
-  /// Installs a per-packet observer (tracing); pass nullptr to remove.
-  void set_observer(Observer observer) { observer_ = std::move(observer); }
-
   /// Direction tag carried in the `value` field of this link's trace events
   /// (0 = uplink, 1 = downlink); set by the owning EmulatedNetwork.
   void set_trace_direction(std::uint64_t direction) noexcept { trace_direction_ = direction; }
 
   [[nodiscard]] const LinkStats& stats() const noexcept { return stats_; }
-  /// Bytes queued or serializing as of now(). On the arithmetic fast path the
-  /// decrement for a finished serialization is applied lazily, so this sums
-  /// the not-yet-drained completions on the fly.
+  /// Bytes queued or serializing as of now(). The decrement for a finished
+  /// serialization is applied lazily, so this sums the not-yet-drained
+  /// completions on the fly.
   [[nodiscard]] std::uint64_t queued_bytes() const noexcept {
     std::uint64_t done = 0;
     for (std::size_t i = 0; i < completions_.size(); ++i) {
@@ -153,41 +121,35 @@ class Link {
   }
 
  private:
-  /// A serialization the fast path has accounted for arithmetically but whose
-  /// queue-occupancy decrement has not been applied yet.
+  /// A serialization accounted for arithmetically whose queue-occupancy
+  /// decrement has not been applied yet.
   struct PendingDone {
     SimTime done{0};
     std::uint64_t wire_bytes = 0;
   };
 
-  void send_fast(Packet&& packet);
-  void send_traced(Packet&& packet);
-  /// Applies the queue-occupancy decrements for fast-path serializations that
-  /// finished at or before now() (the accessor above uses the same rule).
+  /// Applies the queue-occupancy decrements for serializations that finished
+  /// at or before now() (the accessor above uses the same rule).
   void drain_completed();
   /// When a serialization starting at `start` finishes. Without a schedule:
   /// one multiply at the fixed rate (bit-exact with the pre-schedule link).
   /// With one: piecewise integration across the schedule's rate boundaries,
   /// so a step mid-packet stretches (or shrinks) the tail of the packet at
-  /// the new rate, byte-accurately. Both serialization paths call this off
-  /// the shared busy clock, which keeps them equivalent under schedules.
+  /// the new rate, byte-accurately.
   [[nodiscard]] SimTime serialize_end(SimTime start, std::uint64_t wire_bytes) const;
   /// Refills the policer bucket up to `done` and consumes or drops. False
   /// (never polices) when the policer is disabled; no RNG draws either way.
   bool policed(const Packet& packet, SimTime done);
   /// Runs the loss/impairment decision chain for a packet whose serialization
-  /// ends at `done`, scheduling delivery events as appropriate. RNG draw
-  /// order is the serialization (FIFO) order on both paths, so the two paths
-  /// consume an identical stream.
+  /// ends at `done`, scheduling delivery events as appropriate. RNG draws
+  /// happen in serialization (FIFO = send) order.
   void decide_fate(const Packet& packet, SimTime done);
-  /// Notifies a fate (drop, reorder, duplicate) decided for serialization
-  /// end `done`: directly when `done` is now (the event-driven path), else,
-  /// with a trace sink attached, from a notify-only event at `done` that
-  /// touches no link state — tracing rides the arithmetic path without
-  /// perturbing it.
-  void report_fate(LinkEvent event, const Packet& packet, SimTime done,
+  /// Reports a fate (drop, reorder, duplicate) decided at send time for
+  /// serialization end `done` to an attached trace sink: from a notify-only
+  /// event at `done` that touches no link state, so tracing cannot perturb
+  /// the link, or at once when `done` is now.
+  void report_fate(trace::EventType type, const Packet& packet, SimTime done,
                    std::uint64_t id = 0);
-  void start_serialization();
   void schedule_delivery_at(const Packet& packet, SimTime when);
   /// Advances the Gilbert–Elliott chain one step and draws the state's loss
   /// probability. No draws at all while the model is disabled.
@@ -202,37 +164,29 @@ class Link {
   std::uint64_t queue_capacity_bytes_ = 0; // set by the constructor
   Rng loss_rng_;
   DeliverFn deliver_;
-  Observer observer_;
   std::uint64_t trace_direction_ = 0;
   LinkImpairments impairments_{};
   bool ge_bad_ = false;  // Gilbert–Elliott chain state
   RateSchedule schedule_{};
   /// Token-bucket policer state: fractional tokens (bytes) and the time the
   /// bucket was last refilled. decide_fate() sees packets in serialization
-  /// order on both paths, so refills advance monotonically.
+  /// order, so refills advance monotonically.
   double policer_tokens_ = 0.0;
   SimTime policer_refilled_{0};
 
-  void notify(LinkEvent event, const Packet& packet, std::uint64_t id = 0) {
-    if (observer_) observer_(event, packet);
+  void notify(trace::EventType type, const Packet& packet, std::uint64_t id = 0) {
     if (simulator_.trace() != nullptr) {
-      simulator_.trace_event(to_trace_event(event), trace::Endpoint::kNone,
-                             static_cast<std::uint64_t>(packet.flow), id,
-                             packet.wire_bytes, trace_direction_);
+      simulator_.trace_event(type, trace::Endpoint::kNone,
+                             static_cast<std::uint64_t>(packet.flow), id, packet.wire_bytes,
+                             trace_direction_);
     }
   }
 
-  /// Droptail queue over a reused slab: once the ring has grown to the
-  /// episode's high-water mark, enqueue/dequeue recycle the same packet
-  /// descriptors instead of churning deque blocks. Only the observed (slow)
-  /// path stores packets here; the fast path is purely arithmetic.
-  RingBuffer<Packet> queue_;
   std::uint64_t queued_bytes_ = 0;
-  bool serializing_ = false;
-  /// When the serializer finishes its current backlog. Shared by both paths
-  /// so a link stays byte-accurate across an observer attach/detach.
+  /// When the serializer finishes its current backlog.
   SimTime busy_until_{0};
-  /// Fast-path serializations whose queued_bytes_ decrement is still pending.
+  /// Serializations whose queued_bytes_ decrement is still pending; grows to
+  /// the backlog's high-water mark, then its slab is reused.
   RingBuffer<PendingDone> completions_;
   LinkStats stats_;
 };

@@ -17,6 +17,7 @@
 #include "net/rate_schedule.hpp"
 #include "sim/simulator.hpp"
 #include "tcp/config.hpp"
+#include "trace/memory_sink.hpp"
 #include "transport_test_util.hpp"
 #include "util/rng.hpp"
 
@@ -332,22 +333,27 @@ TEST(RateSchedule, TraceGeneratorsAreDeterministicSeededAndFloored) {
 }
 
 /// Delivery times of `count` kilobyte packets offered at t=0 to a lossless
-/// zero-propagation link running `schedule`, with an optional observer
-/// attach/detach window to force the event-driven serialization path.
+/// zero-propagation link running `schedule`. With a `sink`, it is attached
+/// as the trace sink at `attach_at` (before the first send when that is t=0)
+/// and detached at `detach_at`.
 std::vector<SimTime> scheduled_deliveries(const RateSchedule& schedule, int count,
-                                          SimTime attach_at = kNoTime,
+                                          trace::MemorySink* sink = nullptr,
+                                          SimTime attach_at = SimTime{0},
                                           SimTime detach_at = kNoTime) {
   sim::Simulator simulator;
   std::vector<SimTime> times;
   Link link(simulator, DataRate::bytes_per_second(1'000'000), SimDuration::zero(), 0.0,
             10'000'000, Rng(1), [&](Packet) { times.push_back(simulator.now()); });
   link.set_schedule(schedule);
-  if (attach_at != kNoTime) {
-    simulator.schedule_at(attach_at,
-                          [&link] { link.set_observer([](LinkEvent, const Packet&) {}); });
-  }
-  if (detach_at != kNoTime) {
-    simulator.schedule_at(detach_at, [&link] { link.set_observer({}); });
+  if (sink != nullptr) {
+    if (attach_at == SimTime{0}) {
+      simulator.set_trace(sink);
+    } else {
+      simulator.schedule_at(attach_at, [&simulator, sink] { simulator.set_trace(sink); });
+    }
+    if (detach_at != kNoTime) {
+      simulator.schedule_at(detach_at, [&simulator] { simulator.set_trace(nullptr); });
+    }
   }
   for (int i = 0; i < count; ++i) link.send(make_packet(1000, 100 + i));
   simulator.run();
@@ -387,21 +393,29 @@ TEST(Schedules, MidPacketStepIntegratesByteAccurately) {
               static_cast<double>(SimTime{microseconds(19500)}.count()), 100.0);
 }
 
-TEST(Schedules, ObserverAttachDetachKeepsDeliveryTimes) {
-  // The regression this PR fixes: with a schedule installed, an observer
-  // attaching mid-backlog switches serialization from the arithmetic fast
-  // path to the event-driven path. Both must re-derive busy_until_ through
-  // the same piecewise integration, so delivery times cannot move.
+TEST(Schedules, TraceSinkAttachDetachKeepsDeliveryTimes) {
+  // With a schedule installed, a trace sink attaching mid-backlog and
+  // detaching again must not move any delivery: tracing only reads the link.
+  // Every delivery the sink saw must be stamped with a baseline delivery time.
   RateStep steps[] = {{SimDuration::zero(), DataRate::bytes_per_second(1'000'000)},
                       {microseconds(3500), DataRate::bytes_per_second(125'000)},
                       {milliseconds(40), DataRate::bytes_per_second(500'000)}};
   const RateSchedule schedule = RateSchedule::steps(steps, 3);
   const auto baseline = scheduled_deliveries(schedule, 12);
-  const auto observed_all = scheduled_deliveries(schedule, 12, SimTime{0});
-  const auto observed_window =
-      scheduled_deliveries(schedule, 12, SimTime{milliseconds(2)}, SimTime{milliseconds(30)});
-  EXPECT_EQ(baseline, observed_all);
-  EXPECT_EQ(baseline, observed_window);
+  trace::MemorySink from_start;
+  trace::MemorySink window;
+  EXPECT_EQ(baseline, scheduled_deliveries(schedule, 12, &from_start));
+  EXPECT_EQ(baseline, scheduled_deliveries(schedule, 12, &window, SimTime{milliseconds(2)},
+                                           SimTime{milliseconds(30)}));
+  EXPECT_EQ(from_start.count(trace::EventType::kLinkDelivered), baseline.size());
+  EXPECT_GT(window.count(trace::EventType::kLinkDelivered), 0u);
+  EXPECT_LT(window.count(trace::EventType::kLinkDelivered), baseline.size());
+  for (const trace::MemorySink* sink : {&from_start, &window}) {
+    for (const trace::Event& event : sink->of_type(trace::EventType::kLinkDelivered)) {
+      EXPECT_NE(std::find(baseline.begin(), baseline.end(), event.time), baseline.end())
+          << event.time.count();
+    }
+  }
 }
 
 TEST(Schedules, ScheduleLeavesTheLossRngStreamUntouched) {

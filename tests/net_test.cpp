@@ -178,6 +178,30 @@ TEST(EmulatedNetwork, UnknownFlowIsDropped) {
   EXPECT_EQ(network.uplink_stats().packets_delivered, 1u);
 }
 
+TEST(EmulatedNetwork, HandlerMayRegisterFlowsWhileItRuns) {
+  // A browser opens connections from inside a delivery: the flow table grows
+  // under the running handler, which must stay intact.
+  sim::Simulator simulator;
+  EmulatedNetwork network(simulator, dsl_profile(), Rng(3));
+  const FlowId flow = network.allocate_flow_id();
+  int received = 0;
+  network.register_client_flow(flow, [&](Packet) {
+    for (int i = 0; i < 64; ++i) {
+      network.register_client_flow(network.allocate_flow_id(), [](Packet) {});
+    }
+    ++received;
+  });
+  network.server_send(make_packet(500, static_cast<std::uint64_t>(flow)));
+  network.server_send(make_packet(500, static_cast<std::uint64_t>(flow)));
+  simulator.run();
+  EXPECT_EQ(received, 2);
+  network.unregister_client_flow(flow);
+  network.server_send(make_packet(500, static_cast<std::uint64_t>(flow)));
+  simulator.run();
+  EXPECT_EQ(received, 2);
+  EXPECT_EQ(network.downlink_stats().packets_delivered, 3u);
+}
+
 TEST(EmulatedNetwork, RoundTripTakesMinRtt) {
   sim::Simulator simulator;
   EmulatedNetwork network(simulator, dsl_profile(), Rng(3));

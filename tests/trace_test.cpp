@@ -265,6 +265,27 @@ TEST(LinkTrace, EventsMatchLinkStats) {
   }
 }
 
+TEST(LinkTrace, FateOfAnInstantSerializationIsReportedAtOnce) {
+  // At 100 Tbps a full packet serializes within one nanosecond tick, so its
+  // fate is decided at the sending instant and reported before send returns.
+  sim::Simulator simulator;
+  trace::MemorySink sink;
+  simulator.set_trace(&sink);
+  net::Link link(simulator, DataRate::bits_per_second(100'000'000'000'000ULL),
+                 SimDuration::zero(), /*loss_rate=*/1.0, /*queue_capacity_bytes=*/15'000,
+                 Rng(1), [](net::Packet) {});
+  net::Packet packet;
+  packet.flow = net::FlowId{1};
+  packet.wire_bytes = 1500;
+  link.send(std::move(packet));
+  ASSERT_EQ(sink.events().size(), 2u);
+  EXPECT_EQ(sink.events()[0].type, trace::EventType::kLinkEnqueued);
+  EXPECT_EQ(sink.events()[1].type, trace::EventType::kLinkDroppedRandomLoss);
+  EXPECT_EQ(sink.events()[1].time, SimTime{0});
+  simulator.run();
+  EXPECT_EQ(sink.events().size(), 2u);
+}
+
 TEST(TraceCounters, StreamBlockedTimeAccumulates) {
   trace::TrialCounters counters;
   trace::Event blocked;
