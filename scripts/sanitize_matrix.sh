@@ -2,9 +2,9 @@
 # Builds and runs the test suite under the sanitizer/invariant matrix:
 #
 #   asan_ubsan   AddressSanitizer + UndefinedBehaviorSanitizer (Debug)
-#   tsan         ThreadSanitizer (Debug) — campaign executor, store, and
-#                population streaming tests only: TSan serializes everything
-#                else for no extra coverage
+#   tsan         ThreadSanitizer (Debug) — executor, campaign and fairness
+#                grid, store, and population streaming tests only: TSan
+#                serializes everything else for no extra coverage
 #   invariants   RelWithDebInfo with -DQPERC_ENABLE_INVARIANTS=ON, proving
 #                every QPERC_DCHECK holds in an otherwise-release binary
 #
@@ -47,9 +47,10 @@ run_leg() {
     tsan)
       flags="-DCMAKE_BUILD_TYPE=Debug -DQPERC_ENABLE_TSAN=ON"
       env_prefix="TSAN_OPTIONS=halt_on_error=1"
-      # The simulator core is single-threaded by design; only the campaign
-      # executor, result store, and population streaming engine cross threads.
-      test_filter="-R '[Ee]xecutor|[Cc]ampaign|[Rr]esult[Ss]tore|[Pp]opulation|study_smoke'"
+      # The simulator core is single-threaded by design; only the executor,
+      # the grids it drives (campaign, fairness), the stores their workers
+      # put() into, and the population streaming engine cross threads.
+      test_filter="-R '[Ee]xecutor|[Cc]ampaign|Fairness(Grid|Store|Cell)\.|fairness_smoke|Store(Mutation)?\.|CheckedFile|[Pp]opulation|study_smoke'"
       ;;
     invariants)
       flags="-DCMAKE_BUILD_TYPE=RelWithDebInfo -DQPERC_ENABLE_INVARIANTS=ON"

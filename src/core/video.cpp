@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <limits>
-#include <sstream>
+#include <ostream>
 #include <stdexcept>
 
 #include "core/trial_context.hpp"
 #include "runner/executor.hpp"
+#include "runner/store.hpp"
 #include "util/rng.hpp"
 
 namespace qperc::core {
@@ -90,10 +89,7 @@ VideoLibrary::VideoLibrary(std::uint64_t catalog_seed, std::uint32_t runs,
       catalog_(web::study_catalog(catalog_seed)) {}
 
 const web::Website& VideoLibrary::site_by_name(const std::string& name) const {
-  for (const auto& site : catalog_) {
-    if (site.name == name) return site;
-  }
-  throw std::invalid_argument("unknown site: " + name);
+  return web::site_by_name(catalog_, name);
 }
 
 const Video& VideoLibrary::get(const std::string& site_name,
@@ -168,8 +164,6 @@ void VideoLibrary::precompute(const std::vector<std::string>& sites,
 
 namespace {
 
-// v2 added the LinkConditions token to the header (variable-rate links).
-constexpr const char* kCacheMagic = "qperc-video-cache-v2";
 /// Sanity cap when parsing: no recorded VC curve comes close to this many
 /// samples, so a larger count only ever means a corrupt file.
 constexpr std::size_t kMaxCurvePoints = 1'000'000;
@@ -199,7 +193,11 @@ browser::PageMetrics read_metrics(std::istream& is) {
 
 }  // namespace
 
-void write_video_record(std::ostream& os, const Video& video) {
+std::string VideoCodec::identity() const {
+  return std::to_string(seed) + ' ' + std::to_string(runs) + ' ' + conditions.token();
+}
+
+void VideoCodec::write(std::ostream& os, const Video& video) {
   os.precision(17);
   os << video.site << ' ' << video.protocol << ' ' << static_cast<int>(video.network)
      << ' ' << video.runs << ' ' << video.mean_retransmissions << ' ';
@@ -210,9 +208,10 @@ void write_video_record(std::ostream& os, const Video& video) {
   for (const auto& sample : video.vc_curve) {
     os << ' ' << sample.time.count() << ' ' << sample.completeness;
   }
+  os << '\n';
 }
 
-bool read_video_record(std::istream& is, Video& video) {
+bool VideoCodec::read(std::istream& is, Video& video) {
   int network = 0;
   std::size_t curve_points = 0;
   is >> video.site >> video.protocol >> network >> video.runs >>
@@ -235,59 +234,15 @@ bool read_video_record(std::istream& is, Video& video) {
 }
 
 bool VideoLibrary::load_cache(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::string magic;
-  std::uint64_t seed = 0;
-  std::uint32_t runs = 0;
-  std::string trace_kind;
-  std::uint64_t trace_seed = 0;
-  std::uint64_t policer_bps = 0;
-  std::uint64_t policer_burst = 0;
-  std::size_t count = 0;
-  in >> magic >> seed >> runs >> trace_kind >> trace_seed >> policer_bps >>
-      policer_burst >> count;
-  const std::string cached_conditions = trace_kind + ' ' + std::to_string(trace_seed) +
-                                        ' ' + std::to_string(policer_bps) + ' ' +
-                                        std::to_string(policer_burst);
-  if (!in || magic != kCacheMagic || seed != catalog_seed_ || runs != runs_ ||
-      cached_conditions != conditions_.token()) {
-    return false;
-  }
-  // Parse into a staging map first: a truncated or corrupt file must not
-  // leave partially-loaded entries in the live cache, which precompute
-  // would then treat as valid and never recompute.
+  // Stage first: a file that does not verify contributes nothing.
   std::map<Key, Video> staged;
-  for (std::size_t i = 0; i < count; ++i) {
-    Video video;
-    if (!read_video_record(in, video)) return false;
-    const Key key{video.site, video.protocol, static_cast<int>(video.network)};
-    staged.insert_or_assign(key, std::move(video));
-  }
+  if (!runner::Store<VideoCodec>::read(path, codec(), staged)) return false;
   for (auto& [key, video] : staged) cache_.insert_or_assign(key, std::move(video));
   return true;
 }
 
 void VideoLibrary::save_cache(const std::string& path) const {
-  // Write to a sibling temp file and rename into place: an interrupted run
-  // can never leave a half-written cache that poisons later runs.
-  const std::string temp_path = path + ".tmp";
-  {
-    std::ofstream out(temp_path, std::ios::trunc);
-    if (!out) return;
-    out << kCacheMagic << ' ' << catalog_seed_ << ' ' << runs_ << ' '
-        << conditions_.token() << ' ' << cache_.size() << '\n';
-    for (const auto& [key, video] : cache_) {
-      write_video_record(out, video);
-      out << '\n';
-    }
-    out.flush();
-    if (!out) {
-      std::remove(temp_path.c_str());
-      return;
-    }
-  }
-  if (std::rename(temp_path.c_str(), path.c_str()) != 0) std::remove(temp_path.c_str());
+  runner::Store<VideoCodec>::write(path, codec(), cache_);
 }
 
 }  // namespace qperc::core

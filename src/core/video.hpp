@@ -52,13 +52,31 @@ struct Video {
                                   std::uint64_t base_seed,
                                   trace::TraceSink* trace = nullptr);
 
-/// Serializes one Video as a single whitespace-separated line (no trailing
-/// newline) — the record format shared by the VideoLibrary cache and the
-/// campaign runner's ResultStore.
-void write_video_record(std::ostream& os, const Video& video);
-/// Parses one Video written by write_video_record. Returns false (contents
-/// of `video` unspecified) when the stream ends early or a field is invalid.
-[[nodiscard]] bool read_video_record(std::istream& is, Video& video);
+/// The record codec of every video store (runner::Store): the campaign's
+/// ResultStore and the VideoLibrary cache share this one format. A store's
+/// identity is its (seed, runs, link conditions); one record per condition.
+struct VideoCodec {
+  using Record = Video;
+  using Key = std::tuple<std::string, std::string, int>;
+  static constexpr std::string_view kMagic = "qperc-videos-v3";
+
+  std::uint64_t seed = 0;
+  std::uint32_t runs = 0;
+  net::LinkConditions conditions{};
+
+  /// "<seed> <runs> <link conditions token>".
+  [[nodiscard]] std::string identity() const;
+  /// Keys a video, or anything else naming a condition (a campaign task).
+  template <class Condition>
+  [[nodiscard]] static Key key(const Condition& condition) {
+    return {condition.site, condition.protocol, static_cast<int>(condition.network)};
+  }
+  /// Serializes one Video as a single whitespace-separated line.
+  static void write(std::ostream& os, const Video& video);
+  /// Parses one line written by write(). Returns false (contents of `video`
+  /// unspecified) when the stream ends early or a field is invalid.
+  [[nodiscard]] static bool read(std::istream& is, Video& video);
+};
 
 /// Lazily computes and caches videos for the whole study grid; the cache is
 /// what both user studies draw their stimuli from.
@@ -97,19 +115,21 @@ class VideoLibrary {
 
   [[nodiscard]] const web::Website& site_by_name(const std::string& name) const;
 
-  /// Loads previously saved videos; returns false (and leaves the cache
-  /// untouched — a truncated or corrupt file never contributes partial
-  /// entries) when the file is missing, malformed, or was produced with a
-  /// different (seed, runs) pair.
+  /// Loads previously saved videos (a video store, see VideoCodec);
+  /// returns false and leaves the cache untouched when the file is missing,
+  /// fails its checksum or count, or was written under another identity
+  /// (seed, runs, link conditions) or model version.
   bool load_cache(const std::string& path);
   /// Persists every cached video for reuse by later runs. The write is
-  /// atomic (temp file + rename), so an interrupted run cannot leave a
-  /// corrupt cache behind.
+  /// atomic and durable (runner::write_checked_file); throws
+  /// std::runtime_error when it fails.
   void save_cache(const std::string& path) const;
   [[nodiscard]] std::size_t cached_conditions() const { return cache_.size(); }
 
  private:
-  using Key = std::tuple<std::string, std::string, int>;
+  using Key = VideoCodec::Key;
+
+  [[nodiscard]] VideoCodec codec() const { return {catalog_seed_, runs_, conditions_}; }
 
   std::uint64_t catalog_seed_ = 0;
   std::uint32_t runs_ = 0;

@@ -1,22 +1,22 @@
 // Durable, resumable checkpoint for one population-study shard.
 //
-// On-disk format (version 1, plain text):
+// On-disk format: a runner checked file (runner/checked_file.hpp):
 //
-//   qperc-popstudy-v1 <fingerprint> <shard_index> <shard_count> <block_size> <blocks_done>
+//   qperc-popstudy-v2 model<N> <fingerprint> <shard_index> <shard_count> <block_size> <blocks_done>
 //   counts <participants> <survivors> <votes>
 //   removed <r1> ... <r7>
 //   seconds <n> <sum_q> <sumsq_hi> <sumsq_lo>
 //   cells <rating_count> <ab_count>
 //   rcell <i> <n> <sum_q> <sumsq_hi> <sumsq_lo>                 x rating_count
 //   acell <i> <first> <nodiff> <second> <replays> <confidence_q> x ab_count
-//   checksum <16-digit hex FNV-1a over everything after the header line>
+//   checksum <16-digit hex FNV-1a over the header line and the payload>
 //
 // Only integer accumulator state is stored — never derived doubles — so a
-// resumed run is bit-identical to an uninterrupted one. The same guarantees
-// as runner::ResultStore apply: atomic tmp+rename writes, and load()
-// rejects (leaving the caller's state untouched) any file with a different
-// version, study fingerprint, shard geometry, cell layout, truncation, or
-// checksum mismatch.
+// resumed run is bit-identical to an uninterrupted one. The checked file
+// gives atomic, durable writes; load() rejects (leaving the caller's state
+// untouched) any file with a different format or model version, study
+// fingerprint, shard geometry, cell layout, truncation, or checksum
+// mismatch.
 #pragma once
 
 #include <cstdint>
@@ -44,13 +44,13 @@ struct ShardState {
 [[nodiscard]] std::optional<ShardState> read_shard(const std::string& path,
                                                    const Accumulator& layout);
 
-/// Writer/loader bound to one run's identity. save() is atomic
-/// (tmp + rename); load() additionally verifies fingerprint and shard
+/// Writer/loader bound to one run's identity. save() is atomic and
+/// durable; load() additionally verifies fingerprint and shard
 /// geometry against this run's, so a checkpoint from a different study or
 /// a different shard split can never be resumed silently.
 class StudyStore {
  public:
-  static constexpr const char* kMagic = "qperc-popstudy-v1";
+  static constexpr const char* kMagic = "qperc-popstudy-v2";
 
   StudyStore(std::string path, std::uint64_t fingerprint, unsigned shard_index,
              unsigned shard_count, std::uint64_t block_size);

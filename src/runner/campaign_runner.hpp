@@ -1,4 +1,4 @@
-// Executes a CampaignSpec against a durable ResultStore.
+// Executes a CampaignSpec against a durable ResultStore through run_grid.
 //
 // Resume semantics: tasks whose condition is already in the store are
 // skipped (never recomputed), so re-running after an interruption
@@ -16,12 +16,10 @@
 
 #include <chrono>
 #include <cstddef>
-#include <exception>
 #include <functional>
-#include <string>
-#include <vector>
 
 #include "runner/campaign.hpp"
+#include "runner/grid.hpp"
 #include "runner/result_store.hpp"
 #include "trace/counters.hpp"
 
@@ -31,15 +29,7 @@ class VideoLibrary;
 
 namespace qperc::runner {
 
-struct CampaignProgress {
-  std::size_t total = 0;     // tasks in this shard's grid slice
-  std::size_t skipped = 0;   // already in the store (resume)
-  std::size_t pending = 0;   // scheduled for execution this run
-  std::size_t completed = 0; // finished successfully this run
-  double elapsed_seconds = 0.0;
-  double tasks_per_second = 0.0;
-  /// Estimated seconds until the pending tasks finish (0 when unknown).
-  double eta_seconds = 0.0;
+struct CampaignProgress : GridProgress {
   /// Aggregate of every completed trial's trace counters (zero when
   /// collect_counters is off). Sum/max fields only; see TrialCounters::merge.
   trace::TrialCounters counters;
@@ -47,12 +37,7 @@ struct CampaignProgress {
 
 /// One grid cell whose every attempt threw; the campaign completed the
 /// rest and recorded this.
-struct CampaignFailure {
-  CampaignTask task;
-  unsigned attempts = 0;
-  std::string message;
-  std::exception_ptr error;
-};
+using CampaignFailure = GridFailure<CampaignTask>;
 
 struct CampaignOptions {
   /// Worker threads; 0 = one per hardware thread.
@@ -65,31 +50,27 @@ struct CampaignOptions {
   std::size_t max_tasks = 0;
   /// Attach a per-task trace sink and aggregate TrialCounters campaign-wide.
   bool collect_counters = true;
-  /// Throttled progress callback (invoked from worker threads, serialized).
+  /// Throttled progress callback (see GridOptions::on_progress).
   std::function<void(const CampaignProgress&)> on_progress;
   std::chrono::milliseconds progress_interval{500};
 };
 
-struct CampaignReport {
-  std::size_t total = 0;
-  std::size_t skipped = 0;
-  std::size_t executed = 0;  // attempted this run = completed + failures
-  std::vector<CampaignFailure> failures;
+struct CampaignReport : GridReport<CampaignTask> {
   trace::TrialCounters counters;
-  double elapsed_seconds = 0.0;
 };
 
 /// Runs (the spec's shard of) the grid, skipping conditions already in the
 /// store, and checkpoints the store incrementally plus once at the end.
-/// Throws std::invalid_argument when the store's (seed, runs) pair does
-/// not match the spec. Task failures do not throw — they are captured in
+/// Throws std::invalid_argument when the store's identity does not match
+/// the spec. Task failures do not throw — they are captured in
 /// the report while the remaining tasks complete.
 CampaignReport run_campaign(const CampaignSpec& spec, ResultStore& store,
                             const CampaignOptions& options = {});
 
 /// Copies every stored result into the library's in-memory cache (existing
 /// entries win). Returns the number of newly adopted conditions. Throws
-/// std::invalid_argument when store and library disagree on (seed, runs).
+/// std::invalid_argument when store and library disagree on (seed, runs,
+/// link conditions).
 std::size_t adopt_results(const ResultStore& store, core::VideoLibrary& library);
 
 }  // namespace qperc::runner

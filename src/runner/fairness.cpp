@@ -1,11 +1,8 @@
 #include "runner/fairness.hpp"
 
-// qperc-lint: allow-file(wall-clock) operator-facing progress/ETA display only; wall time never reaches trial results or the event schedule
-#include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <iomanip>
 #include <limits>
+#include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -13,7 +10,6 @@
 #include "core/protocol.hpp"
 #include "core/trial.hpp"
 #include "core/trial_context.hpp"
-#include "runner/executor.hpp"
 #include "stats/stats.hpp"
 #include "util/rng.hpp"
 #include "web/website.hpp"
@@ -21,12 +17,6 @@
 namespace qperc::runner {
 
 namespace {
-
-std::string checksum_hex(std::string_view payload) {
-  std::ostringstream os;
-  os << std::hex << std::setw(16) << std::setfill('0') << fnv1a(payload);
-  return os.str();
-}
 
 void set_record_precision(std::ostream& os) {
   os << std::setprecision(std::numeric_limits<double>::max_digits10);
@@ -164,120 +154,8 @@ bool read_fairness_record(std::istream& is, FairnessCell& cell) {
   return static_cast<bool>(is);
 }
 
-FairnessStore::FairnessStore(std::string path, std::uint64_t seed, std::uint32_t runs,
-                             std::uint64_t fingerprint, std::size_t checkpoint_every)
-    : path_(std::move(path)),
-      seed_(seed),
-      runs_(runs),
-      fingerprint_(fingerprint),
-      checkpoint_every_(checkpoint_every == 0 ? 1 : checkpoint_every) {}
-
-bool FairnessStore::read_file(const std::string& path,
-                              std::map<std::size_t, FairnessCell>& out) const {
-  std::ifstream in(path);
-  if (!in) return false;
-
-  std::string header;
-  if (!std::getline(in, header)) return false;
-  std::istringstream header_stream(header);
-  std::string magic;
-  std::uint64_t seed = 0;
-  std::uint32_t runs = 0;
-  std::uint64_t fingerprint = 0;
-  std::size_t count = 0;
-  header_stream >> magic >> seed >> runs >> fingerprint >> count;
-  if (!header_stream || magic != kMagic || seed != seed_ || runs != runs_ ||
-      fingerprint != fingerprint_) {
-    return false;
-  }
-
-  std::string payload;
-  std::string line;
-  std::map<std::size_t, FairnessCell> loaded;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (!std::getline(in, line)) return false;
-    std::istringstream record(line);
-    FairnessCell cell;
-    if (!read_fairness_record(record, cell)) return false;
-    payload += line;
-    payload += '\n';
-    loaded[cell.grid_index] = std::move(cell);
-  }
-  if (!std::getline(in, line)) return false;
-  std::istringstream footer(line);
-  std::string label;
-  std::string checksum;
-  footer >> label >> checksum;
-  if (label != "checksum" || checksum != checksum_hex(payload)) return false;
-  out = std::move(loaded);
-  return true;
-}
-
-bool FairnessStore::load() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  puts_since_checkpoint_ = 0;
-  cells_.clear();
-  std::map<std::size_t, FairnessCell> loaded;
-  if (!read_file(path_, loaded)) return false;
-  cells_ = std::move(loaded);
-  return true;
-}
-
-bool FairnessStore::absorb(const std::string& path) {
-  std::map<std::size_t, FairnessCell> loaded;
-  if (!read_file(path, loaded)) return false;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [index, cell] : loaded) cells_.emplace(index, std::move(cell));
-  return true;
-}
-
-void FairnessStore::put(FairnessCell cell) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  cells_[cell.grid_index] = std::move(cell);
-  if (++puts_since_checkpoint_ >= checkpoint_every_) checkpoint_locked();
-}
-
-void FairnessStore::checkpoint() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  checkpoint_locked();
-}
-
-void FairnessStore::checkpoint_locked() {
-  std::ostringstream payload;
-  for (const auto& [index, cell] : cells_) write_fairness_record(payload, cell);
-  const std::string records = payload.str();
-
-  std::ostringstream file;
-  file << kMagic << ' ' << seed_ << ' ' << runs_ << ' ' << fingerprint_ << ' '
-       << cells_.size() << '\n'
-       << records << "checksum " << checksum_hex(records) << '\n';
-
-  const std::string tmp = path_ + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) throw std::runtime_error("fairness store: cannot write " + tmp);
-    out << file.str();
-    if (!out.flush()) throw std::runtime_error("fairness store: write failed: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    throw std::runtime_error("fairness store: rename failed: " + path_);
-  }
-  puts_since_checkpoint_ = 0;
-}
-
-bool FairnessStore::contains(std::size_t grid_index) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return cells_.count(grid_index) != 0;
-}
-
-std::size_t FairnessStore::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return cells_.size();
-}
-
-void FairnessStore::for_each(const std::function<void(const FairnessCell&)>& fn) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [index, cell] : cells_) fn(cell);
+std::string FairnessCodec::identity() const {
+  return std::to_string(seed) + ' ' + std::to_string(runs) + ' ' + std::to_string(fingerprint);
 }
 
 namespace {
@@ -360,105 +238,26 @@ FairnessCell run_cell(const FairnessTask& task, const FairnessSpec& spec,
 
 FairnessCell run_fairness_cell(const FairnessTask& task, const FairnessSpec& spec) {
   const auto catalog = web::study_catalog(spec.seed);
-  for (const auto& site : catalog) {
-    if (site.name == task.site) {
-      core::TrialContext context;
-      return run_cell(task, spec, site, context);
-    }
-  }
-  throw std::invalid_argument("unknown site: " + task.site);
+  core::TrialContext context;
+  return run_cell(task, spec, web::site_by_name(catalog, task.site), context);
 }
 
 FairnessReport run_fairness(const FairnessSpec& spec, FairnessStore& store,
                             const FairnessOptions& options) {
   spec.validate();
-  if (store.seed() != spec.seed || store.runs() != spec.runs ||
-      store.fingerprint() != spec.fingerprint()) {
+  if (store.codec().identity() !=
+      FairnessCodec{spec.seed, spec.runs, spec.fingerprint()}.identity()) {
     throw std::invalid_argument("fairness store does not match the spec");
   }
-
-  const auto shard_tasks = spec.tasks();
-  std::vector<FairnessTask> pending;
-  pending.reserve(shard_tasks.size());
-  for (const auto& task : shard_tasks) {
-    if (!store.contains(task.grid_index)) pending.push_back(task);
-  }
-  FairnessReport report;
-  report.total = shard_tasks.size();
-  report.skipped = report.total - pending.size();
-  if (options.max_tasks != 0 && pending.size() > options.max_tasks) {
-    pending.resize(options.max_tasks);
-  }
-
   // One catalog for the whole grid; lookups are read-only across workers.
   const auto catalog = web::study_catalog(spec.seed);
-  const auto site_by_name = [&catalog](const std::string& name) -> const web::Website& {
-    for (const auto& site : catalog) {
-      if (site.name == name) return site;
-    }
-    throw std::invalid_argument("unknown site: " + name);
-  };
-
-  const auto start = std::chrono::steady_clock::now();
-  std::mutex progress_mutex;
-  std::size_t completed = 0;
-  auto last_emit = start;
-
-  const auto snapshot = [&]() {  // callers hold progress_mutex
-    FairnessProgress progress;
-    progress.total = report.total;
-    progress.skipped = report.skipped;
-    progress.pending = pending.size();
-    progress.completed = completed;
-    progress.elapsed_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    if (progress.elapsed_seconds > 0.0 && completed > 0) {
-      const double rate = static_cast<double>(completed) / progress.elapsed_seconds;
-      progress.eta_seconds = static_cast<double>(pending.size() - completed) / rate;
-    }
-    return progress;
-  };
-
-  Executor executor({.jobs = options.jobs, .max_attempts = options.max_attempts});
-  auto failures = executor.run(pending.size(), [&](std::size_t index) {
-    const FairnessTask& task = pending[index];
-    const web::Website& site = site_by_name(task.site);
-    core::TrialContext context;
-    store.put(run_cell(task, spec, site, context));
-
-    std::function<void(const FairnessProgress&)> emit;
-    FairnessProgress progress;
-    {
-      const std::lock_guard<std::mutex> lock(progress_mutex);
-      ++completed;
-      const auto now = std::chrono::steady_clock::now();
-      if (options.on_progress && now - last_emit >= options.progress_interval) {
-        last_emit = now;
-        progress = snapshot();
-        emit = options.on_progress;
-      }
-    }
-    if (emit) emit(progress);
-  });
-  store.checkpoint();
-
-  report.executed = pending.size();
-  report.failures.reserve(failures.size());
-  for (auto& failure : failures) {
-    FairnessFailure entry;
-    entry.task = pending[failure.index];
-    entry.attempts = failure.attempts;
-    entry.message = std::move(failure.message);
-    entry.error = failure.error;
-    report.failures.push_back(std::move(entry));
-  }
-  report.elapsed_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  {
-    const std::lock_guard<std::mutex> lock(progress_mutex);
-    if (options.on_progress) options.on_progress(snapshot());
-  }
-  return report;
+  return run_grid(
+      spec.tasks(), store,
+      [&](const FairnessTask& task) {
+        core::TrialContext context;
+        return run_cell(task, spec, web::site_by_name(catalog, task.site), context);
+      },
+      options);
 }
 
 }  // namespace qperc::runner

@@ -1,6 +1,6 @@
 // The fairness grid: contention experiments (flow count x mix x stagger, on
-// top of the campaign's site x protocol x network axes) run over the same
-// executor / durable-store / sharding machinery as every other grid.
+// top of the campaign's site x protocol x network axes) run through the same
+// run_grid loop and Store as every other grid.
 //
 // Determinism contract (same as campaign.hpp): enumeration order is fixed,
 // every cell's base seed derives from the cell's identity alone, and the
@@ -10,16 +10,16 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <exception>
-#include <functional>
 #include <iosfwd>
-#include <map>
-#include <mutex>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "net/contention.hpp"
 #include "net/profile.hpp"
+#include "runner/grid.hpp"
+#include "runner/store.hpp"
 #include "util/time.hpp"
 
 namespace qperc::runner {
@@ -132,87 +132,44 @@ struct FairnessCell {
 void write_fairness_record(std::ostream& os, const FairnessCell& cell);
 [[nodiscard]] bool read_fairness_record(std::istream& is, FairnessCell& cell);
 
-/// Durable, resumable store for fairness cells; same guarantees as the
-/// campaign ResultStore (atomic temp+rename checkpoints, whole-file
-/// checksum, key-sorted deterministic bytes), keyed by grid index and
-/// fingerprinted against the spec's axes.
-class FairnessStore {
- public:
-  static constexpr const char* kMagic = "qperc-fairness-v1";
+/// The record codec of fairness stores: one cell per grid index, under the
+/// identity (seed, runs, spec fingerprint).
+struct FairnessCodec {
+  using Record = FairnessCell;
+  using Key = std::size_t;
+  static constexpr std::string_view kMagic = "qperc-fairness-v2";
 
+  std::uint64_t seed = 0;
+  std::uint32_t runs = 0;
+  std::uint64_t fingerprint = 0;
+
+  /// "<seed> <runs> <fingerprint>".
+  [[nodiscard]] std::string identity() const;
+  /// Keys a cell, or the task that produces it.
+  template <class Cell>
+  [[nodiscard]] static Key key(const Cell& cell) {
+    return cell.grid_index;
+  }
+  static void write(std::ostream& os, const FairnessCell& cell) {
+    write_fairness_record(os, cell);
+  }
+  [[nodiscard]] static bool read(std::istream& is, FairnessCell& cell) {
+    return read_fairness_record(is, cell);
+  }
+};
+
+/// Durable, resumable store for fairness cells (store.hpp), keyed by grid
+/// index and fingerprinted against the spec's axes.
+struct FairnessStore : Store<FairnessCodec> {
   FairnessStore(std::string path, std::uint64_t seed, std::uint32_t runs,
-                std::uint64_t fingerprint, std::size_t checkpoint_every = 8);
-
-  /// Loads this store's own checkpoint file. Returns false (leaving the
-  /// store empty) on a missing file, version/seed/runs/fingerprint
-  /// mismatch, truncation, or checksum failure.
-  [[nodiscard]] bool load();
-  /// Merges a compatible shard file into memory (existing cells win; no
-  /// checkpoint). Returns false and absorbs nothing on any mismatch.
-  [[nodiscard]] bool absorb(const std::string& path);
-
-  void put(FairnessCell cell);
-  /// Atomically persists the current contents (temp file + rename).
-  void checkpoint();
-
-  [[nodiscard]] bool contains(std::size_t grid_index) const;
-  [[nodiscard]] std::size_t size() const;
-  void for_each(const std::function<void(const FairnessCell&)>& fn) const;
-
-  [[nodiscard]] const std::string& path() const { return path_; }
-  [[nodiscard]] std::uint64_t seed() const { return seed_; }
-  [[nodiscard]] std::uint32_t runs() const { return runs_; }
-  [[nodiscard]] std::uint64_t fingerprint() const { return fingerprint_; }
-
- private:
-  void checkpoint_locked();
-  [[nodiscard]] bool read_file(const std::string& path,
-                               std::map<std::size_t, FairnessCell>& out) const;
-
-  std::string path_;
-  std::uint64_t seed_;
-  std::uint32_t runs_;
-  std::uint64_t fingerprint_;
-  std::size_t checkpoint_every_;
-  std::size_t puts_since_checkpoint_ = 0;
-  std::map<std::size_t, FairnessCell> cells_;
-  mutable std::mutex mutex_;
+                std::uint64_t fingerprint, std::size_t checkpoint_every = 8)
+      : Store(std::move(path), FairnessCodec{seed, runs, fingerprint}, checkpoint_every) {}
 };
 
-struct FairnessProgress {
-  std::size_t total = 0;
-  std::size_t skipped = 0;
-  std::size_t pending = 0;
-  std::size_t completed = 0;
-  double elapsed_seconds = 0.0;
-  double eta_seconds = 0.0;
-};
-
-struct FairnessFailure {
-  FairnessTask task;
-  unsigned attempts = 0;
-  std::string message;
-  std::exception_ptr error;
-};
-
-struct FairnessOptions {
-  /// Worker threads; 0 = one per hardware thread.
-  unsigned jobs = 0;
-  unsigned max_attempts = 2;
-  /// Stop after executing this many pending cells (0 = unlimited); the e2e
-  /// harness uses this to emulate a deterministic interruption.
-  std::size_t max_tasks = 0;
-  std::function<void(const FairnessProgress&)> on_progress;
-  std::chrono::milliseconds progress_interval{500};
-};
-
-struct FairnessReport {
-  std::size_t total = 0;
-  std::size_t skipped = 0;
-  std::size_t executed = 0;
-  std::vector<FairnessFailure> failures;
-  double elapsed_seconds = 0.0;
-};
+using FairnessProgress = GridProgress;
+using FairnessFailure = GridFailure<FairnessTask>;
+using FairnessOptions = GridOptions;
+using FairnessReport = GridReport<FairnessTask>;
 
 /// Runs one cell: `runs` contended trials, aggregated. Exposed for tests;
 /// the result depends only on (task, runs, burst pattern, seed catalog).

@@ -108,8 +108,7 @@ Rng Rng::fork(std::uint64_t tag) const {
 
 Rng Rng::fork(std::string_view label) const { return fork(fnv1a(label)); }
 
-std::uint64_t fnv1a(std::string_view s) noexcept {
-  std::uint64_t hash = 0xCBF29CE484222325ULL;
+std::uint64_t fnv1a(std::string_view s, std::uint64_t hash) noexcept {
   for (const char c : s) {
     hash ^= static_cast<unsigned char>(c);
     hash *= 0x100000001B3ULL;

@@ -56,7 +56,12 @@ class Rng {
   bool has_spare_normal_ = false;
 };
 
-/// FNV-1a 64-bit hash, used for stable string-keyed RNG forks.
-[[nodiscard]] std::uint64_t fnv1a(std::string_view s) noexcept;
+/// FNV-1a 64-bit offset basis: the hash of the empty string.
+inline constexpr std::uint64_t kFnv1aBasis = 0xCBF29CE484222325ULL;
+
+/// FNV-1a 64-bit hash, used for stable string-keyed RNG forks. Passing a
+/// previous result as `hash` continues it: fnv1a(b, fnv1a(a)) == fnv1a(a + b).
+[[nodiscard]] std::uint64_t fnv1a(std::string_view s,
+                                  std::uint64_t hash = kFnv1aBasis) noexcept;
 
 }  // namespace qperc

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -73,6 +74,9 @@ struct SiteSpec {
 /// The 36 study sites (paper: 40 minus 4 unreplayable/private, §3).
 [[nodiscard]] const std::vector<SiteSpec>& study_site_specs();
 [[nodiscard]] std::vector<Website> study_catalog(std::uint64_t seed);
+/// The catalog's site named `name`; throws std::invalid_argument if absent.
+[[nodiscard]] const Website& site_by_name(const std::vector<Website>& catalog,
+                                          std::string_view name);
 
 /// The five-domain subset used in the controlled lab study (§4.1).
 [[nodiscard]] const std::vector<std::string>& lab_study_domains();

@@ -1,6 +1,7 @@
 // Core tests: Table-1 protocol configs, trial determinism, video selection.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -185,20 +186,24 @@ TEST(VideoLibrary, CorruptOrTruncatedCacheLeavesLibraryUntouched) {
   EXPECT_FALSE(truncated_reader.load_cache(path));
   EXPECT_EQ(truncated_reader.cached_conditions(), 1u);  // only the precomputed one
 
-  // Corrupt a numeric field in the first record (the v1 format has no
-  // checksum, so only in-band parse failures are detectable).
-  std::string corrupt = good;
-  const auto payload = corrupt.find('\n') + 1;
-  const auto digit = corrupt.find_first_of("0123456789", payload);
-  ASSERT_NE(digit, std::string::npos);
-  corrupt[digit] = 'x';
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << corrupt;
-  }
+  // Corrupt the first record's first-visual-change time: once so that it no
+  // longer parses, and once by changing a digit so that the record still
+  // parses and only the checksum can tell.
+  std::size_t digit = good.find('\n') + 1;
+  for (int field = 0; field < 5; ++field) digit = good.find(' ', digit) + 1;
+  ASSERT_TRUE(std::isdigit(static_cast<unsigned char>(good[digit])));
   VideoLibrary corrupt_reader(7, 2);
-  EXPECT_FALSE(corrupt_reader.load_cache(path));
-  EXPECT_EQ(corrupt_reader.cached_conditions(), 0u);
+  (void)corrupt_reader.get("wikipedia.org", "QUIC", net::NetworkKind::kDsl);
+  for (const char replacement : {'x', good[digit] == '1' ? '2' : '1'}) {
+    std::string corrupt = good;
+    corrupt[digit] = replacement;
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << corrupt;
+    }
+    EXPECT_FALSE(corrupt_reader.load_cache(path)) << "replacement " << replacement;
+    EXPECT_EQ(corrupt_reader.cached_conditions(), 1u);
+  }
   std::remove(path.c_str());
 }
 

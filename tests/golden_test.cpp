@@ -11,7 +11,9 @@
 //
 // If a deliberate behaviour change invalidates these rows, re-capture them
 // with the snippet in EXPERIMENTS.md ("Benchmarking qperc") and say so in
-// the commit message; an unexplained diff here is a determinism bug.
+// the commit message, and bump runner::kModelVersion
+// (src/runner/checked_file.hpp) so stores and caches written by the old
+// model stop loading; an unexplained diff here is a determinism bug.
 #include <gtest/gtest.h>
 
 #include <array>

@@ -38,6 +38,7 @@
 #include "runner/campaign_runner.hpp"
 #include "runner/fairness.hpp"
 #include "runner/result_store.hpp"
+#include "runner/store.hpp"
 #include "runner/torture.hpp"
 #include "stats/stats.hpp"
 #include "stats/streaming.hpp"
@@ -473,6 +474,42 @@ std::string link_conditions_file_tag(const net::LinkConditions& conditions) {
   return tag;
 }
 
+// --- checkpoint files shared by study, campaign and fairness ---------------
+
+/// Regular files in `dir` named `<prefix>*<extension>`, sorted: a store and
+/// its shard siblings.
+std::vector<std::string> checkpoint_files(const std::string& dir, const std::string& prefix,
+                                          std::string_view extension) {
+  std::vector<std::string> files;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    if (!entry.is_regular_file()) continue;
+    const std::string name = entry.path().filename().string();
+    if (name.starts_with(prefix) && name.ends_with(extension)) {
+      files.push_back(entry.path().string());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+/// Merges every file that verifies under `store`'s identity into it and
+/// reports the rest. Returns how many files were absorbed.
+template <class Codec>
+std::size_t absorb_files(runner::Store<Codec>& store, const std::vector<std::string>& files,
+                         const char* command) {
+  std::size_t absorbed = 0;
+  for (const auto& file : files) {
+    if (store.absorb(file)) {
+      ++absorbed;
+    } else {
+      std::cerr << command << ": skipping unreadable or mismatched checkpoint " << file
+                << "\n";
+    }
+  }
+  return absorbed;
+}
+
 // --- qperc study run/report (population-scale streaming studies) ------------
 
 population::StudySpec population_spec_from_args(const Args& args) {
@@ -665,16 +702,7 @@ int cmd_study_report(const Args& args) {
   // Candidate shard files share the identity prefix (any shard geometry).
   std::string prefix = population_file_name(spec, 0, 1);
   prefix.resize(prefix.size() - 4);  // strip ".qps"
-  std::vector<std::string> files;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(out_dir, ec)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    if (name.rfind(prefix, 0) == 0 && name.ends_with(".qps")) {
-      files.push_back(entry.path().string());
-    }
-  }
-  std::sort(files.begin(), files.end());
+  const auto files = checkpoint_files(out_dir, prefix, ".qps");
   if (files.empty()) {
     std::cerr << "study: no checkpoints matching " << out_dir << "/" << prefix
               << "*.qps — run `qperc study run` first\n";
@@ -774,54 +802,17 @@ runner::CampaignSpec spec_from_args(const Args& args) {
   return spec;
 }
 
+std::string campaign_prefix(const runner::CampaignSpec& spec) {
+  return "campaign_seed" + std::to_string(spec.seed) + "_runs" + std::to_string(spec.runs);
+}
+
 std::string store_file_name(const runner::CampaignSpec& spec) {
-  std::string name =
-      "campaign_seed" + std::to_string(spec.seed) + "_runs" + std::to_string(spec.runs);
+  std::string name = campaign_prefix(spec);
   if (spec.shard_count > 1) {
     name += "_shard" + std::to_string(spec.shard_index) + "of" +
             std::to_string(spec.shard_count);
   }
   return name + ".qcr";
-}
-
-/// All checkpoint files in `out_dir` for this (seed, runs) pair — the
-/// unsharded store plus any shard stores, so status/export see the merged
-/// progress of a multi-process fan-out.
-std::vector<std::string> store_files(const std::string& out_dir,
-                                     const runner::CampaignSpec& spec) {
-  const std::string prefix =
-      "campaign_seed" + std::to_string(spec.seed) + "_runs" + std::to_string(spec.runs);
-  std::vector<std::string> files;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(out_dir, ec)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    if (name.rfind(prefix, 0) == 0 && name.ends_with(".qcr")) {
-      files.push_back(entry.path().string());
-    }
-  }
-  std::sort(files.begin(), files.end());
-  return files;
-}
-
-std::map<runner::ResultStore::Key, core::Video> merged_results(
-    const std::string& out_dir, const runner::CampaignSpec& spec) {
-  std::map<runner::ResultStore::Key, core::Video> merged;
-  for (const auto& file : store_files(out_dir, spec)) {
-    runner::ResultStore store(file, spec.seed, spec.runs);
-    if (!store.load()) {
-      std::cerr << "campaign: skipping unreadable or mismatched checkpoint " << file
-                << "\n";
-      continue;
-    }
-    store.for_each([&](const core::Video& video) {
-      merged.insert_or_assign(
-          runner::ResultStore::Key{video.site, video.protocol,
-                                   static_cast<int>(video.network)},
-          video);
-    });
-  }
-  return merged;
 }
 
 int cmd_campaign_run(const Args& args) {
@@ -883,8 +874,11 @@ int cmd_campaign_run(const Args& args) {
 int cmd_campaign_status(const Args& args) {
   const auto spec = spec_from_args(args);
   const std::string out_dir = args.get("out", "out/campaign");
-  const auto files = store_files(out_dir, spec);
-  const auto merged = merged_results(out_dir, spec);
+  // The unsharded store plus any shard stores: the merged progress of a
+  // multi-process fan-out.
+  const auto files = checkpoint_files(out_dir, campaign_prefix(spec), ".qcr");
+  runner::ResultStore merged({}, spec.seed, spec.runs);
+  absorb_files(merged, files, "campaign");
 
   std::cout << "campaign store: " << out_dir << " (" << files.size()
             << " checkpoint file(s), seed " << spec.seed << ", runs " << spec.runs
@@ -895,9 +889,9 @@ int cmd_campaign_status(const Args& args) {
   TextTable table({"Network", "completed", "of"});
   for (const auto kind : spec.networks) {
     std::size_t done = 0;
-    for (const auto& [key, video] : merged) {
-      if (std::get<2>(key) == static_cast<int>(kind)) ++done;
-    }
+    merged.for_each([&](const core::Video& video) {
+      if (video.network == kind) ++done;
+    });
     table.add_row({std::string(net::to_string(kind)), std::to_string(done),
                    std::to_string(spec.sites.size() * spec.protocols.size())});
   }
@@ -907,13 +901,15 @@ int cmd_campaign_status(const Args& args) {
 
 int cmd_campaign_export(const Args& args) {
   const auto spec = spec_from_args(args);
-  const auto merged = merged_results(args.get("out", "out/campaign"), spec);
+  const std::string out_dir = args.get("out", "out/campaign");
+  runner::ResultStore merged({}, spec.seed, spec.runs);
+  absorb_files(merged, checkpoint_files(out_dir, campaign_prefix(spec), ".qcr"), "campaign");
 
   std::cout << "site,protocol,network,runs,fvc_ms,si_ms,vc85_ms,lvc_ms,plt_ms,"
                "mean_fvc_ms,mean_si_ms,mean_vc85_ms,mean_lvc_ms,mean_plt_ms,"
                "mean_retransmissions,vc_points\n";
   std::cout.precision(17);
-  for (const auto& [key, video] : merged) {
+  merged.for_each([](const core::Video& video) {
     std::cout << video.site << ',' << video.protocol << ','
               << net::to_string(video.network) << ',' << video.runs << ','
               << video.metrics.fvc_ms() << ',' << video.metrics.si_ms() << ','
@@ -922,7 +918,7 @@ int cmd_campaign_export(const Args& args) {
               << video.mean_metrics.si_ms() << ',' << video.mean_metrics.vc85_ms() << ','
               << video.mean_metrics.lvc_ms() << ',' << video.mean_metrics.plt_ms() << ','
               << video.mean_retransmissions << ',' << video.vc_curve.size() << '\n';
-  }
+  });
   return 0;
 }
 
@@ -1006,34 +1002,17 @@ runner::FairnessSpec fairness_spec_from_args(const Args& args) {
   return spec;
 }
 
+std::string fairness_prefix(const runner::FairnessSpec& spec) {
+  return "fairness_seed" + std::to_string(spec.seed) + "_runs" + std::to_string(spec.runs);
+}
+
 std::string fairness_file_name(const runner::FairnessSpec& spec) {
-  std::string name =
-      "fairness_seed" + std::to_string(spec.seed) + "_runs" + std::to_string(spec.runs);
+  std::string name = fairness_prefix(spec);
   if (spec.shard_count > 1) {
     name += "_shard" + std::to_string(spec.shard_index) + "of" +
             std::to_string(spec.shard_count);
   }
   return name + ".qfr";
-}
-
-/// All fairness checkpoints in `out_dir` for this (seed, runs) — the
-/// unsharded store plus shard stores; incompatible axes are filtered out by
-/// the fingerprint check inside absorb().
-std::vector<std::string> fairness_files(const std::string& out_dir,
-                                        const runner::FairnessSpec& spec) {
-  const std::string prefix =
-      "fairness_seed" + std::to_string(spec.seed) + "_runs" + std::to_string(spec.runs);
-  std::vector<std::string> files;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(out_dir, ec)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    if (name.rfind(prefix, 0) == 0 && name.ends_with(".qfr")) {
-      files.push_back(entry.path().string());
-    }
-  }
-  std::sort(files.begin(), files.end());
-  return files;
 }
 
 /// Writes the merged cells as canonical record lines (key-sorted, fixed field
@@ -1085,17 +1064,11 @@ int cmd_fairness(const Args& args) {
   // --report: merge every compatible checkpoint in --out and print/export
   // without running anything (the multi-shard rendezvous).
   if (args.has("report")) {
-    runner::FairnessStore merged(out_dir + "/.fairness_merge.tmp", spec.seed, spec.runs,
-                                 spec.fingerprint());
-    std::size_t absorbed = 0;
-    for (const auto& file : fairness_files(out_dir, spec)) {
-      if (merged.absorb(file)) {
-        ++absorbed;
-      } else {
-        std::cerr << "fairness: skipping unreadable or mismatched checkpoint " << file
-                  << "\n";
-      }
-    }
+    // Every compatible checkpoint for this (seed, runs): the unsharded store
+    // plus shard stores; the fingerprint check drops other axes.
+    runner::FairnessStore merged({}, spec.seed, spec.runs, spec.fingerprint());
+    const std::size_t absorbed = absorb_files(
+        merged, checkpoint_files(out_dir, fairness_prefix(spec), ".qfr"), "fairness");
     if (absorbed == 0) {
       std::cerr << "fairness: no usable checkpoints in " << out_dir
                 << " — run `qperc fairness` first\n";
